@@ -13,7 +13,7 @@ GO ?= go
 # indistinguishable from code regressions.
 BENCH_HEAD ?= BENCH_PR10.json
 
-.PHONY: all build test race race-telemetry bench bench-json bench-smoke benchdiff vet staticcheck fmt check chaos crash-torture examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
+.PHONY: all build test race race-telemetry bench bench-json bench-smoke benchdiff vet purego staticcheck fmt check chaos crash-torture examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
 
 all: build vet test
 
@@ -25,8 +25,16 @@ all: build vet test
 # a single-iteration pass over every benchmark so perf-path regressions
 # that only benchmarks exercise break the gate too, and the
 # headline-benchmark diff between the committed artifacts.
-check: bench-smoke vet staticcheck race-telemetry obs-smoke obs-ingest-smoke load-smoke crash-torture benchdiff
+check: bench-smoke vet purego staticcheck race-telemetry obs-smoke obs-ingest-smoke load-smoke crash-torture benchdiff
 	$(GO) test -race ./...
+
+# The portable build of the modexp kernel: vet the mathx assembly
+# declarations (asmdecl) on the default build, then run the crypto and
+# SMC suites with -tags purego, where Montgomery.Exp delegates to
+# big.Int.Exp, so the fallback path stays tested.
+purego:
+	$(GO) vet ./internal/mathx/...
+	$(GO) test -tags purego ./internal/mathx/... ./internal/crypto/... ./internal/smc/...
 
 # Observability smoke: boot a 3+-node in-memory cluster, run one
 # conjunction query, and assert a merged >=3-node cluster trace plus a

@@ -56,6 +56,9 @@ var (
 type PHKey struct {
 	group *mathx.Group
 	e, d  *big.Int
+	// eBits is the declared width of e: the short-exponent size of a
+	// session key, the modulus width otherwise. d is always full width.
+	eBits int
 }
 
 var _ Cipher = (*PHKey)(nil)
@@ -73,31 +76,40 @@ func NewPHKey(rng io.Reader, g *mathx.Group) (*PHKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("commutative: inverting exponent: %w", err)
 	}
-	return &PHKey{group: g, e: e, d: d}, nil
+	return &PHKey{group: g, e: e, d: d, eBits: g.P.BitLen()}, nil
 }
 
 // Group returns the group the key operates in.
 func (k *PHKey) Group() *mathx.Group { return k.group }
 
 // EncryptInt computes M^e mod p for a group element M in [1, p-1].
-// Bases the group has encrypted repeatedly are served from the
-// fixed-base powers cache (see engine.go); results are identical to a
-// plain modular exponentiation either way.
 func (k *PHKey) EncryptInt(m *big.Int) (*big.Int, error) {
 	if err := k.checkElement(m); err != nil {
 		return nil, err
 	}
-	return phExp(k.group, m, k.e, true), nil
+	return phExp(k.group, m, k.e, k.eBits), nil
 }
 
-// DecryptInt computes C^d mod p, inverting EncryptInt. Ciphertext
-// bases are fresh uniform group elements every round, so decryption
-// skips the fixed-base cache rather than churn its counters.
+// DecryptInt computes C^d mod p, inverting EncryptInt.
 func (k *PHKey) DecryptInt(c *big.Int) (*big.Int, error) {
 	if err := k.checkElement(c); err != nil {
 		return nil, err
 	}
-	return phExp(k.group, c, k.d, false), nil
+	return phExp(k.group, c, k.d, k.group.P.BitLen()), nil
+}
+
+// phExp computes m^e mod p with the group's Montgomery context, its
+// windows covering the exponent's declared width so the multiplication
+// count reveals nothing about the key beyond that width. Groups whose
+// width has no assembly kernel take big.Int.Exp; both paths are
+// counted. Results are bit-identical either way.
+func phExp(g *mathx.Group, m, e *big.Int, width int) *big.Int {
+	if mg := g.Montgomery(); mg != nil && mg.Kernel() {
+		telemetry.M.Counter(telemetry.CtrModexpKernel).Add(1)
+		return mg.ExpWidth(m, e, width)
+	}
+	telemetry.M.Counter(telemetry.CtrModexpFallback).Add(1)
+	return new(big.Int).Exp(m, e, g.P)
 }
 
 func (k *PHKey) checkElement(m *big.Int) error {
@@ -214,15 +226,9 @@ var pool = workpool.Shared
 // Batches above parallelThreshold are fanned out over the shared
 // GOMAXPROCS-sized worker pool; the output is byte-identical to a
 // serial Encrypt loop for any worker count (pinned by the equivalence
-// tests). Batches served while the group's fixed-base engine is live
-// (tables built with Montgomery squaring chains) are counted on
-// crypto.montgomery_batches.
+// tests).
 func (k *PHKey) EncryptBlocks(blocks [][]byte) ([][]byte, error) {
-	out, err := mapBlocks(blocks, k.Encrypt, "encrypting")
-	if err == nil && len(blocks) > 0 && cacheFor(k.group).hasTables() {
-		telemetry.M.Counter(telemetry.CtrMontgomeryBatches).Add(1)
-	}
-	return out, err
+	return mapBlocks(blocks, k.Encrypt, "encrypting")
 }
 
 // DecryptBlocks decrypts every block under the key, preserving order;

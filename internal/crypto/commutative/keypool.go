@@ -52,7 +52,8 @@ func shortExpBitsFor(groupBits int) int {
 // full-width keys.
 func NewSessionKey(g *mathx.Group) (*PHKey, error) {
 	pm1 := new(big.Int).Sub(g.P, big.NewInt(1))
-	e, err := mathx.RandCoprimeBits(rand.Reader, pm1, shortExpBitsFor(g.P.BitLen()))
+	bits := min(shortExpBitsFor(g.P.BitLen()), g.P.BitLen())
+	e, err := mathx.RandCoprimeBits(rand.Reader, pm1, bits)
 	if err != nil {
 		return nil, fmt.Errorf("commutative: sampling pooled exponent: %w", err)
 	}
@@ -60,7 +61,7 @@ func NewSessionKey(g *mathx.Group) (*PHKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("commutative: inverting pooled exponent: %w", err)
 	}
-	return &PHKey{group: g, e: e, d: d}, nil
+	return &PHKey{group: g, e: e, d: d, eBits: bits}, nil
 }
 
 // Pool pregenerates session keys per group on background goroutines so

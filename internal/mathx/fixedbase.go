@@ -16,23 +16,17 @@ import (
 // The table build costs one full-width exponentiation worth of
 // squarings, so a base amortizes after its second use.
 //
-// This is the standard optimization for the DLA hot paths where the
-// BASE repeats while the exponent varies: re-encrypting the same
-// HashToQR-encoded elements under fresh session keys query after
-// query, and folding the agreed accumulator base X0 at the start of
-// every integrity circulation.
+// This is the standard optimization where the BASE never changes
+// while the exponent varies: folding the agreed accumulator base X0 at
+// the start of every integrity circulation.
 //
-// Division of labor with the Montgomery engine: for odd moduli (every
-// DLA group prime and accumulator modulus) the table is CONSTRUCTED
-// in the Montgomery domain — 4 REDC squarings per digit instead of a
-// big.Int.Exp (with its own context setup) per entry — and then
-// converted out, one cheap REDC-by-one per entry. Entries are STORED
-// and EVALUATED in canonical form with the big.Int Mul+QuoRem fold:
-// math/big's assembly multiply kernels beat the portable word-level
-// CIOS kernel at evaluation time (measured ~20% on the reference box),
-// so the in-domain fold is a construction-only tool. Results are
-// bit-identical to big.Int.Exp either way, pinned by the differential
-// tests.
+// Division of labor with the Montgomery engine: for odd moduli the
+// table is CONSTRUCTED in the Montgomery domain — 4 REDC squarings per
+// digit instead of a big.Int.Exp (with its own context setup) per
+// entry — and then converted out, one REDC-by-one per entry. Entries
+// are STORED and EVALUATED in canonical form with the big.Int
+// Mul+QuoRem fold. Results are bit-identical to big.Int.Exp either
+// way, pinned by the differential tests.
 type FixedBase struct {
 	mod    *big.Int
 	window uint
@@ -59,11 +53,11 @@ func NewFixedBase(base, mod *big.Int, maxExpBits int) *FixedBase {
 		mg.enter(cur, sc.b, sc.t)
 		out := make([]uint64, mg.k)
 		for i := 0; i < digits; i++ {
-			mg.montMulOne(out, cur, sc.t)
+			mg.leave(out, cur, sc.t)
 			fb.table[i] = natToBig(out)
 			if i < digits-1 {
 				for s := 0; s < fixedBaseWindow; s++ {
-					mg.montMul(cur, cur, cur, sc.t)
+					mg.mul(cur, cur, cur, sc.t)
 				}
 			}
 		}

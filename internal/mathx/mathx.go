@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 )
 
 // Common small constants. These are treated as immutable; callers must
@@ -44,6 +45,9 @@ type Group struct {
 	P *big.Int
 	// Q is the Sophie Germain prime (P-1)/2, the subgroup order.
 	Q *big.Int
+
+	montOnce sync.Once
+	mont     *Montgomery
 }
 
 // NewGroup validates that p is a safe prime and returns the group.
@@ -154,6 +158,14 @@ func GenerateGroup(rng io.Reader, bits int) (*Group, error) {
 
 // Bits reports the bit length of the modulus.
 func (g *Group) Bits() int { return g.P.BitLen() }
+
+// Montgomery returns the group's cached Montgomery context, built on
+// first use. It is nil only when P is not an odd modulus above 1,
+// which no group built by this package has.
+func (g *Group) Montgomery() *Montgomery {
+	g.montOnce.Do(func() { g.mont, _ = NewMontgomery(g.P) })
+	return g.mont
+}
 
 // HashToQR deterministically maps arbitrary bytes into the quadratic
 // residue subgroup of the group: h = SHA-256*(data) mod p, squared mod p.

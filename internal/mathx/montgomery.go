@@ -10,32 +10,27 @@ import (
 // Montgomery-form modular arithmetic.
 //
 // A Montgomery context fixes an odd modulus n and precomputes the
-// constants REDC needs — R² mod n (for entering the domain) and
-// n′ = -n⁻¹ mod 2⁶⁴ (the per-word reduction factor) — so that a modular
-// multiplication becomes an interleaved multiply-reduce (CIOS) over raw
-// uint64 limbs with no division and no allocation. The context is what
-// the DLA hot paths share: fixed-base powers tables are constructed by
-// in-domain squarings instead of re-running big.Int.Exp per digit, and
-// batch exponentiation amortizes the domain entry/exit and scratch
-// buffers across a whole relay block.
+// constants REDC needs — R² mod n (for entering the domain), R mod n
+// (the Montgomery form of 1) and n′ = -n⁻¹ mod 2⁶⁴ (the per-word
+// reduction factor) — so that a modular multiplication becomes a
+// word-by-word multiply-reduce over raw uint64 limbs with no division
+// and no allocation. Group.Montgomery caches one context per group.
 //
-// Results are bit-identical to math/big: REDC with the trailing
-// conditional subtraction returns the canonical least non-negative
-// residue, exactly like big.Int.Exp and big.Int.Mod. The differential
-// tests and FuzzMontgomeryVsBig pin this for random moduli, bases, and
-// the exponent edge cases (0, 1, group order).
+// The multiply follows Go's crypto/internal/fips140/bigmod: each of
+// the k rows is two calls of a multiply-accumulate row kernel
+// (addMulVVW). For the widths of the embedded groups — 12, 16, 24 and
+// 32 limbs — the row kernel is fixed-width amd64 assembly
+// (nat_amd64.s), MULX/ADCX/ADOX when the CPU has ADX and a MULQ chain
+// otherwise; other widths, and purego or non-amd64 builds, run the
+// portable Go row. Exp uses the assembly kernels only: without one it
+// delegates to big.Int.Exp, whose own assembly beats the portable row.
 //
-// Scope note, measured on the 1-vCPU reference box: math/big's inner
-// multiply loops are assembly while the CIOS kernel here is portable
-// Go (~600 ns per 768-bit multiply versus ~350 ns inside math/big), so
-// anything math/big can express directly stays on math/big — single
-// general exponentiations use big.Int.Exp, and the Yao fixed-base fold
-// evaluates over big.Int Mul+QuoRem (the in-domain fold measured ~20%
-// slower). The Montgomery context wins where the alternative is many
-// separate big.Int contexts: powers-table construction (64 big.Int.Exp
-// calls, each re-deriving RR, collapse to 4 in-domain squarings per
-// digit) and batched folds that amortize one entry/exit across a relay
-// block. See DESIGN.md §7.3.
+// Results are bit-identical to math/big: the final conditional
+// subtraction returns the canonical least non-negative residue, exactly
+// like big.Int.Exp and big.Int.Mod. The differential tests and
+// FuzzMontgomeryVsBig pin this for every kernel width, both row paths,
+// random moduli, and the exponent and base edge cases. See DESIGN.md
+// §7.3.
 
 // ErrEvenModulus reports a modulus REDC cannot handle; callers fall
 // back to big.Int arithmetic.
@@ -46,12 +41,17 @@ var ErrEvenModulus = errors.New("mathx: montgomery requires an odd modulus")
 // an internal pool sized at construction so steady-state operations
 // allocate only their results.
 type Montgomery struct {
-	mod *big.Int
-	k   int      // limb count of the modulus
-	n   []uint64 // modulus limbs, little-endian
-	n0  uint64   // -mod⁻¹ mod 2⁶⁴
-	rr  []uint64 // R² mod n, R = 2^(64k)
-	one []uint64 // R mod n — the Montgomery form of 1
+	mod  *big.Int
+	k    int      // limb count of the modulus
+	n    []uint64 // modulus limbs, little-endian
+	n0   uint64   // -mod⁻¹ mod 2⁶⁴
+	rr   []uint64 // R² mod n, R = 2^(64k)
+	one  []uint64 // R mod n — the Montgomery form of 1
+	unit []uint64 // plain 1: multiplying by it leaves the domain
+
+	// kernel is set when the width has a fixed-width assembly row
+	// kernel; Exp delegates to big.Int.Exp otherwise.
+	kernel bool
 
 	scratch sync.Pool // *montScratch
 }
@@ -59,20 +59,18 @@ type Montgomery struct {
 // montScratch holds every temporary a Montgomery operation needs, sized
 // once for the context's limb count so pooled reuse is allocation-free.
 type montScratch struct {
-	t      []uint64 // k+2-limb CIOS accumulator
-	a, b   []uint64 // k-limb operands
-	pows   []uint64 // 16 k-limb window entries, one backing array
-	digits []byte   // exponent nibbles, low to high
-	powp   [16][]uint64
+	t    []uint64 // 2k-limb product window
+	a, b []uint64 // k-limb operands
+	pows []uint64 // 16 k-limb window entries, one backing array
+	powp [16][]uint64
 }
 
 func (m *Montgomery) newScratch() *montScratch {
 	sc := &montScratch{
-		t:      make([]uint64, m.k+2),
-		a:      make([]uint64, m.k),
-		b:      make([]uint64, m.k),
-		pows:   make([]uint64, 16*m.k),
-		digits: make([]byte, 0, 64),
+		t:    make([]uint64, 2*m.k),
+		a:    make([]uint64, m.k),
+		b:    make([]uint64, m.k),
+		pows: make([]uint64, 16*m.k),
 	}
 	for i := range sc.powp {
 		sc.powp[i] = sc.pows[i*m.k : (i+1)*m.k]
@@ -90,10 +88,16 @@ func NewMontgomery(mod *big.Int) (*Montgomery, error) {
 	}
 	k := (mod.BitLen() + 63) / 64
 	m := &Montgomery{
-		mod: new(big.Int).Set(mod),
-		k:   k,
-		n:   natFromBig(mod, k),
+		mod:  new(big.Int).Set(mod),
+		k:    k,
+		n:    natFromBig(mod, k),
+		unit: make([]uint64, k),
 	}
+	switch k {
+	case 768 / 64, 1024 / 64, 1536 / 64, 2048 / 64:
+		m.kernel = haveKernels
+	}
+	m.unit[0] = 1
 	// n0 = -n⁻¹ mod 2⁶⁴ by Newton iteration (Dussé–Kaliski).
 	y := m.n[0] // n odd ⇒ invertible mod 2⁶⁴
 	for i := 0; i < 5; i++ {
@@ -109,6 +113,10 @@ func NewMontgomery(mod *big.Int) (*Montgomery, error) {
 
 // Mod returns the context's modulus. Callers must not modify it.
 func (m *Montgomery) Mod() *big.Int { return m.mod }
+
+// Kernel reports whether Exp runs the fixed-width assembly kernel
+// rather than delegating to big.Int.Exp.
+func (m *Montgomery) Kernel() bool { return m.kernel }
 
 // natFromBig spreads x (0 ≤ x, fitting k limbs) into little-endian
 // uint64 limbs.
@@ -150,155 +158,139 @@ func natToBig(x []uint64) *big.Int {
 	return new(big.Int).SetBits(words)
 }
 
-// montMul computes z = x·y·R⁻¹ mod n with the fused CIOS kernel: the
-// word shift of each reduction round is folded into the second pass's
-// store index, so the accumulator never moves. z must not alias t; z
-// aliasing x or y is fine because x[i] and y[j] are read before any
-// store to z happens (z is written only at the end).
-func (m *Montgomery) montMul(z, x, y []uint64, t []uint64) {
+// mul computes z = x·y·R⁻¹ mod n for x, y < n: word-by-word Montgomery
+// multiplication (Gueron, "Efficient Software Implementations of
+// Modular Exponentiation", Algorithm 4), with step 6's shift replaced
+// by sliding the window t[i:i+k], as in bigmod's montgomeryMul. z may
+// alias x or y: it is written only after the last row.
+func (m *Montgomery) mul(z, x, y, t []uint64) {
 	k := m.k
-	n := m.n
-	n0 := m.n0
-	for i := 0; i <= k; i++ {
-		t[i] = 0
-	}
-	for i := 0; i < k; i++ {
-		xi := x[i]
-		var c uint64
-		for j := 0; j < k; j++ {
-			hi, lo := bits.Mul64(xi, y[j])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			c = hi + cc
-			t[j] = lo
-		}
-		tk := t[k] + c
-		var over uint64
-		if tk < c {
-			over = 1
-		}
-		q := t[0] * n0
-		hi0, lo0 := bits.Mul64(q, n[0])
-		_, cc0 := bits.Add64(lo0, t[0], 0)
-		c = hi0 + cc0
-		for j := 1; j < k; j++ {
-			hi, lo := bits.Mul64(q, n[j])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			c = hi + cc
-			t[j-1] = lo
-		}
-		var cc uint64
-		t[k-1], cc = bits.Add64(tk, c, 0)
-		t[k] = over + cc
-	}
-	if t[k] != 0 || !natLess(t[:k], n) {
-		var b uint64
+	t = t[:2*k]
+	clear(t)
+	var c uint64
+	// The specialised cases run the same rows through the fixed-width
+	// kernels, called directly, over array views with constant bounds.
+	switch k {
+	case 768 / 64:
+		const k = 768 / 64
+		t, x, y, n := (*[2 * k]uint64)(t), (*[k]uint64)(x), (*[k]uint64)(y), (*[k]uint64)(m.n)
 		for i := 0; i < k; i++ {
-			z[i], b = bits.Sub64(t[i], n[i], b)
+			c1 := addMulVVW768(&t[i], &x[0], y[i])
+			c2 := addMulVVW768(&t[i], &n[0], t[i]*m.n0)
+			t[k+i], c = bits.Add64(c1, c2, c)
 		}
-		return
+	case 1024 / 64:
+		const k = 1024 / 64
+		t, x, y, n := (*[2 * k]uint64)(t), (*[k]uint64)(x), (*[k]uint64)(y), (*[k]uint64)(m.n)
+		for i := 0; i < k; i++ {
+			c1 := addMulVVW1024(&t[i], &x[0], y[i])
+			c2 := addMulVVW1024(&t[i], &n[0], t[i]*m.n0)
+			t[k+i], c = bits.Add64(c1, c2, c)
+		}
+	case 1536 / 64:
+		const k = 1536 / 64
+		t, x, y, n := (*[2 * k]uint64)(t), (*[k]uint64)(x), (*[k]uint64)(y), (*[k]uint64)(m.n)
+		for i := 0; i < k; i++ {
+			c1 := addMulVVW1536(&t[i], &x[0], y[i])
+			c2 := addMulVVW1536(&t[i], &n[0], t[i]*m.n0)
+			t[k+i], c = bits.Add64(c1, c2, c)
+		}
+	case 2048 / 64:
+		const k = 2048 / 64
+		t, x, y, n := (*[2 * k]uint64)(t), (*[k]uint64)(x), (*[k]uint64)(y), (*[k]uint64)(m.n)
+		for i := 0; i < k; i++ {
+			c1 := addMulVVW2048(&t[i], &x[0], y[i])
+			c2 := addMulVVW2048(&t[i], &n[0], t[i]*m.n0)
+			t[k+i], c = bits.Add64(c1, c2, c)
+		}
+	default:
+		for i := 0; i < k; i++ {
+			c1 := addMulVVW(t[i:k+i], x, y[i])
+			c2 := addMulVVW(t[i:k+i], m.n, t[i]*m.n0)
+			t[k+i], c = bits.Add64(c1, c2, c)
+		}
 	}
-	copy(z, t[:k])
+	// The window t[k:] plus the carry c is below 2n; subtract n when it
+	// overflowed or is at least n. Branch-free: the difference lands in
+	// the spent low half of t and a mask selects it.
+	lo, hi, n, z := t[:k], t[k:2*k], m.n[:k], z[:k]
+	var b uint64
+	for i := range lo {
+		lo[i], b = bits.Sub64(hi[i], n[i], b)
+	}
+	mask := -(c | (b ^ 1))
+	for i := range z {
+		z[i] = hi[i] ^ (mask & (hi[i] ^ lo[i]))
+	}
 }
 
-// natLess reports x < y for equal-length limb vectors.
-func natLess(x, y []uint64) bool {
-	for i := len(x) - 1; i >= 0; i-- {
-		if x[i] != y[i] {
-			return x[i] < y[i]
-		}
+// addMulVVW is the portable row: z += x·y over len(z) limbs, returning
+// the carry word.
+func addMulVVW(z, x []uint64, y uint64) (carry uint64) {
+	x = x[:len(z)]
+	for i := range z {
+		hi, lo := bits.Mul64(x[i], y)
+		var c uint64
+		lo, c = bits.Add64(lo, z[i], 0)
+		hi += c
+		lo, c = bits.Add64(lo, carry, 0)
+		hi += c
+		z[i] = lo
+		carry = hi
 	}
-	return false
+	return carry
 }
 
 // enter converts x (canonical residue limbs) into the Montgomery
 // domain: z = x·R mod n.
-func (m *Montgomery) enter(z, x []uint64, t []uint64) { m.montMul(z, x, m.rr, t) }
+func (m *Montgomery) enter(z, x, t []uint64) { m.mul(z, x, m.rr, t) }
 
-// montMulOne is montMul with y = 1 — a bare REDC pass converting z out
-// of the Montgomery domain to the canonical residue — avoiding the need
-// to materialize a k-limb unit vector.
-func (m *Montgomery) montMulOne(z, x []uint64, t []uint64) {
-	k := m.k
-	n := m.n
-	n0 := m.n0
-	for i := 0; i <= k; i++ {
-		t[i] = 0
+// leave converts z out of the Montgomery domain to the canonical
+// residue: z = x·R⁻¹ mod n.
+func (m *Montgomery) leave(z, x, t []uint64) { m.mul(z, x, m.unit, t) }
+
+// nibble returns the i-th radix-16 digit of the exponent words.
+func nibble(words []big.Word, i int) int {
+	const perWord = bitsPerWord / 4
+	w := i / perWord
+	if w >= len(words) {
+		return 0
 	}
-	copy(t, x)
-	for i := 0; i < k; i++ {
-		q := t[0] * n0
-		hi0, lo0 := bits.Mul64(q, n[0])
-		_, cc0 := bits.Add64(lo0, t[0], 0)
-		c := hi0 + cc0
-		for j := 1; j < k; j++ {
-			hi, lo := bits.Mul64(q, n[j])
-			var cc uint64
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			c = hi + cc
-			t[j-1] = lo
-		}
-		var cc uint64
-		t[k-1], cc = bits.Add64(t[k], c, 0)
-		t[k] = cc
-	}
-	if t[k] != 0 || !natLess(t[:k], n) {
-		var b uint64
-		for i := 0; i < k; i++ {
-			z[i], b = bits.Sub64(t[i], n[i], b)
-		}
-		return
-	}
-	copy(z, t[:k])
+	return int(words[w]>>(4*uint(i%perWord))) & 0xF
 }
 
-// expNibbles recodes e into radix-16 digits, low to high, reusing dst.
-func expNibbles(dst []byte, e *big.Int) []byte {
-	dst = dst[:0]
-	for _, w := range e.Bits() {
-		for s := 0; s < bitsPerWord; s += 4 {
-			dst = append(dst, byte((w>>uint(s))&0xF))
-		}
+// exp leaves base^e mod n, canonical, in sc.b. The exponent is read in
+// fixed 4-bit windows over max(width, |e|) bits, left to right, and
+// every window costs four squarings and one multiplication — a zero
+// digit multiplies by the Montgomery one — so the operation count
+// depends only on that nominal width, never on the exponent's digits.
+func (m *Montgomery) exp(sc *montScratch, base, e *big.Int, width int) {
+	if w := e.BitLen(); w > width {
+		width = w
 	}
-	for len(dst) > 0 && dst[len(dst)-1] == 0 {
-		dst = dst[:len(dst)-1]
-	}
-	return dst
-}
-
-// expMont raises base (in Montgomery form, in sc.a) to e, leaving the
-// Montgomery-form result in sc.a. Fixed 4-bit left-to-right windows.
-func (m *Montgomery) expMont(sc *montScratch, e *big.Int) {
-	sc.digits = expNibbles(sc.digits, e)
-	digits := sc.digits
-	if len(digits) == 0 { // e == 0
-		copy(sc.a, m.one)
-		return
-	}
-	// Window table: powp[0] = 1 (Montgomery one), powp[i] = base^i.
-	copy(sc.powp[0], m.one)
-	copy(sc.powp[1], sc.a)
+	windows := (width + 3) / 4
+	words := e.Bits()
+	pows := &sc.powp
+	// Window table: pows[0] = 1 (Montgomery one), pows[i] = base^i.
+	natSetBig(sc.b, m.reduce(base))
+	copy(pows[0], m.one)
+	m.enter(pows[1], sc.b, sc.t)
 	for i := 2; i < 16; i++ {
-		m.montMul(sc.powp[i], sc.powp[i-1], sc.powp[1], sc.t)
+		m.mul(pows[i], pows[i-1], pows[1], sc.t)
 	}
 	acc := sc.a
-	copy(acc, sc.powp[digits[len(digits)-1]])
-	for i := len(digits) - 2; i >= 0; i-- {
-		m.montMul(acc, acc, acc, sc.t)
-		m.montMul(acc, acc, acc, sc.t)
-		m.montMul(acc, acc, acc, sc.t)
-		m.montMul(acc, acc, acc, sc.t)
-		if d := digits[i]; d != 0 {
-			m.montMul(acc, acc, sc.powp[d], sc.t)
-		}
+	copy(acc, m.one)
+	if windows > 0 {
+		copy(acc, pows[nibble(words, windows-1)])
 	}
+	for i := windows - 2; i >= 0; i-- {
+		m.mul(acc, acc, acc, sc.t)
+		m.mul(acc, acc, acc, sc.t)
+		m.mul(acc, acc, acc, sc.t)
+		m.mul(acc, acc, acc, sc.t)
+		m.mul(acc, acc, pows[nibble(words, i)], sc.t)
+	}
+	m.leave(sc.b, acc, sc.t)
 }
 
 // reduce returns base if already in [0, n), else the canonical residue.
@@ -310,33 +302,42 @@ func (m *Montgomery) reduce(base *big.Int) *big.Int {
 }
 
 // Exp computes base^e mod n for e ≥ 0, bit-identical to big.Int.Exp's
-// canonical residue.
-func (m *Montgomery) Exp(base, e *big.Int) *big.Int {
+// canonical residue. The windows cover e's own bit length.
+func (m *Montgomery) Exp(base, e *big.Int) *big.Int { return m.ExpWidth(base, e, 0) }
+
+// ExpWidth computes base^e mod n with the windows covering
+// max(width, e.BitLen()) exponent bits. Passing the exponent's nominal
+// width — a key's declared size rather than the sampled value's — makes
+// the multiplication count independent of the secret. Without a kernel
+// for the modulus width, or for e < 0, it returns big.Int.Exp. The only
+// allocation is the result.
+func (m *Montgomery) ExpWidth(base, e *big.Int, width int) *big.Int {
+	if !m.kernel || e.Sign() < 0 {
+		return new(big.Int).Exp(base, e, m.mod)
+	}
 	sc := m.getScratch()
-	natSetBig(sc.b, m.reduce(base))
-	m.enter(sc.a, sc.b, sc.t)
-	m.expMont(sc, e)
-	m.montMulOne(sc.b, sc.a, sc.t)
+	m.exp(sc, base, e, width)
 	out := natToBig(sc.b)
 	m.putScratch(sc)
 	return out
 }
 
-// ExpBlocks computes base^e mod n for every base, amortizing the
-// exponent recoding, scratch buffers, and domain conversions across
-// the batch — the entry point the commutative cipher's block APIs use
-// when a whole relay block shares one session exponent.
+// ExpBlocks computes base^e mod n for every base, sharing one scratch
+// across the batch.
 func (m *Montgomery) ExpBlocks(bases []*big.Int, e *big.Int) []*big.Int {
 	out := make([]*big.Int, len(bases))
 	if len(bases) == 0 {
 		return out
 	}
+	if !m.kernel || e.Sign() < 0 {
+		for i, base := range bases {
+			out[i] = new(big.Int).Exp(base, e, m.mod)
+		}
+		return out
+	}
 	sc := m.getScratch()
 	for i, base := range bases {
-		natSetBig(sc.b, m.reduce(base))
-		m.enter(sc.a, sc.b, sc.t)
-		m.expMont(sc, e)
-		m.montMulOne(sc.b, sc.a, sc.t)
+		m.exp(sc, base, e, 0)
 		out[i] = natToBig(sc.b)
 	}
 	m.putScratch(sc)

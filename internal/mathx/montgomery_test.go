@@ -113,25 +113,148 @@ func TestMontgomeryExpBlocksMatchesBig(t *testing.T) {
 	}
 }
 
-// TestMontgomeryConcurrent hammers one shared context from many
-// goroutines; run under -race this pins the pooled-scratch sharing.
-func TestMontgomeryConcurrent(t *testing.T) {
-	g := Oakley768
-	mg, err := NewMontgomery(g.P)
-	if err != nil {
-		t.Fatal(err)
+// kernelGroups are the embedded groups, one per kernel width (12, 16,
+// 24 and 32 limbs), each with the short-exponent width its session
+// keys declare.
+var kernelGroups = []struct {
+	g        *Group
+	shortExp int
+}{
+	{Oakley768, 144},
+	{Oakley1024, 160},
+	{MODP1536, 192},
+	{MODP2048, 224},
+}
+
+// TestMontgomeryKernelWidths is the differential test of the
+// fixed-width kernels against big.Int.Exp: for each kernel width, the
+// exponents 0, 1, 2, a value of exactly the declared short width, a
+// full-width value and p−2, each under its own width and under the
+// declared short and full widths; and the bases 0, 1, p−1, unreduced
+// values and random residues.
+func TestMontgomeryKernelWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, kg := range kernelGroups {
+		p := kg.g.P
+		mg := kg.g.Montgomery()
+		if mg.Kernel() != haveKernels {
+			t.Fatalf("%d-bit group: Kernel() = %v, want %v", p.BitLen(), mg.Kernel(), haveKernels)
+		}
+		short := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(kg.shortExp)))
+		short.SetBit(short, kg.shortExp-1, 1)
+		full := new(big.Int).Rand(rng, p)
+		full.SetBit(full, p.BitLen()-1, 1)
+		exponents := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			big.NewInt(2),
+			short,
+			full,
+			new(big.Int).Sub(p, big.NewInt(2)),
+		}
+		bases := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			new(big.Int).Sub(p, big.NewInt(1)),
+			new(big.Int).Set(p),
+			new(big.Int).Add(p, big.NewInt(5)),
+			new(big.Int).Lsh(p, 3),
+			big.NewInt(-3),
+			new(big.Int).Rand(rng, p),
+			new(big.Int).Rand(rng, p),
+		}
+		for _, base := range bases {
+			for _, e := range exponents {
+				want := expRef(base, e, p)
+				for _, width := range []int{0, kg.shortExp, p.BitLen()} {
+					if got := mg.ExpWidth(base, e, width); got.Cmp(want) != 0 {
+						t.Fatalf("%d-bit group, width %d: %v^%v: got %v want %v",
+							p.BitLen(), width, base, e, got, want)
+					}
+				}
+			}
+		}
 	}
+}
+
+// TestMontgomeryMulMatchesBig pins the multiply itself, fixed-width and
+// portable rows alike, to x·y·R⁻¹ mod n, including operands at n−1
+// where the final subtraction is taken most often.
+func TestMontgomeryMulMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	moduli := []*big.Int{big.NewInt(65537)}
+	for _, kg := range kernelGroups {
+		moduli = append(moduli, kg.g.P)
+	}
+	odd := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 1088))
+	moduli = append(moduli, odd.SetBit(odd, 0, 1).SetBit(odd, 1087, 1))
+	for _, mod := range moduli {
+		mg, err := NewMontgomery(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(64*mg.k)), mod)
+		top := new(big.Int).Sub(mod, big.NewInt(1))
+		t2 := make([]uint64, 2*mg.k)
+		z := make([]uint64, mg.k)
+		for i := 0; i < 40; i++ {
+			x, y := new(big.Int).Rand(rng, mod), new(big.Int).Rand(rng, mod)
+			switch i {
+			case 0:
+				x, y = top, top
+			case 1:
+				x = top
+			}
+			mg.mul(z, natFromBig(x, mg.k), natFromBig(y, mg.k), t2)
+			want := new(big.Int).Mul(x, y)
+			want.Mul(want, rInv).Mod(want, mod)
+			if got := natToBig(z); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit modulus: mul(%v, %v) = %v, want %v", mod.BitLen(), x, y, got, want)
+			}
+		}
+	}
+}
+
+// TestMontgomeryExpAllocs pins the allocation contract: after warmup a
+// kernel exponentiation allocates only its result, the big.Int and its
+// limb array.
+func TestMontgomeryExpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	for _, kg := range kernelGroups {
+		mg := kg.g.Montgomery()
+		if !mg.Kernel() {
+			t.Skip("no kernel on this build: Exp is big.Int.Exp")
+		}
+		rng := rand.New(rand.NewSource(14))
+		base := new(big.Int).Rand(rng, kg.g.P)
+		e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(kg.shortExp)))
+		mg.ExpWidth(base, e, kg.shortExp) // warm the scratch pool
+		if allocs := testing.AllocsPerRun(20, func() { mg.ExpWidth(base, e, kg.shortExp) }); allocs > 2 {
+			t.Fatalf("%d-bit group: ExpWidth allocates %.1f objects per call, want <= 2 (the result)",
+				kg.g.P.BitLen(), allocs)
+		}
+	}
+}
+
+// TestMontgomeryConcurrent hammers the shared per-group contexts from
+// many goroutines at every kernel width; run under -race this pins the
+// pooled-scratch sharing.
+func TestMontgomeryConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 20; i++ {
-				base := new(big.Int).Rand(rng, g.P)
-				e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 160))
-				if mg.Exp(base, e).Cmp(expRef(base, e, g.P)) != 0 {
-					t.Errorf("concurrent mismatch (seed %d)", seed)
+			for i := 0; i < 8; i++ {
+				kg := kernelGroups[(int(seed)+i)%len(kernelGroups)]
+				p := kg.g.P
+				base := new(big.Int).Rand(rng, p)
+				e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(kg.shortExp)))
+				if kg.g.Montgomery().ExpWidth(base, e, kg.shortExp).Cmp(expRef(base, e, p)) != 0 {
+					t.Errorf("concurrent mismatch (seed %d, %d bits)", seed, p.BitLen())
 					return
 				}
 			}
@@ -140,20 +263,31 @@ func TestMontgomeryConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// fuzzWidths are the modulus widths FuzzMontgomeryVsBig draws from:
+// the four kernel widths (12, 16, 24 and 32 limbs) first, then three
+// in between that run the portable row and the big.Int.Exp fallback.
+var fuzzWidths = []int{768, 1024, 1536, 2048, 1088, 1408, 1728}
+
 // FuzzMontgomeryVsBig is the differential fuzzer the acceptance
 // criteria require: random moduli in the DLA range (768–2048 bits,
 // derived from the fuzz input so even candidates exercise the
 // rejection path), random bases, and exponents covering the 0/1/order
-// edge cases. Any divergence from big.Int.Exp fails.
+// edge cases, evaluated with their own width and with a declared width
+// taken from sel. Any divergence from big.Int.Exp fails.
 func FuzzMontgomeryVsBig(f *testing.F) {
 	f.Add(int64(1), []byte{2}, []byte{3}, uint(0))
 	f.Add(int64(2), []byte{0xFF, 0x01}, []byte{0}, uint(1))
 	f.Add(int64(3), []byte{7, 7, 7}, []byte{1}, uint(2))
 	f.Add(int64(4), []byte{}, []byte{0xAB, 0xCD}, uint(3))
 	f.Add(int64(5), []byte{0x80}, []byte{0x10, 0x00}, uint(9))
+	f.Add(int64(6), []byte{0xFF, 0xFF, 0xFF}, []byte{0xFF, 0xFF, 0xFF}, uint(144*7+0))
+	f.Add(int64(7), []byte{0x01, 0x00}, []byte{0x80, 0x00, 0x01}, uint(160*7+1))
+	f.Add(int64(8), []byte{0xC3}, []byte{0x7F, 0xFF, 0xFF, 0xFF}, uint(192*7+2))
+	f.Add(int64(9), []byte{0x5A, 0xA5}, []byte{0xDE, 0xAD, 0xBE, 0xEF}, uint(224*7+3))
 	f.Fuzz(func(t *testing.T, seed int64, baseBytes, expBytes []byte, sel uint) {
 		rng := rand.New(rand.NewSource(seed))
-		bits := 768 + int(sel%5)*320 // 768, 1088, 1408, 1728, 2048
+		bits := fuzzWidths[sel%uint(len(fuzzWidths))]
+		width := int(sel/uint(len(fuzzWidths))) % (bits + 1)
 		mod := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
 		mod.SetBit(mod, bits-1, 1) // full width
 		mg, err := NewMontgomery(mod)
@@ -172,9 +306,14 @@ func FuzzMontgomeryVsBig(f *testing.F) {
 		e := new(big.Int).SetBytes(expBytes)
 		order := new(big.Int).Sub(mod, big.NewInt(1))
 		for _, exp := range []*big.Int{e, big.NewInt(0), big.NewInt(1), order} {
-			if got, want := mg.Exp(base, exp), expRef(base, exp, mod); got.Cmp(want) != 0 {
+			want := expRef(base, exp, mod)
+			if got := mg.Exp(base, exp); got.Cmp(want) != 0 {
 				t.Fatalf("mod %d bits, e %d bits: got %v want %v",
 					mod.BitLen(), exp.BitLen(), got, want)
+			}
+			if got := mg.ExpWidth(base, exp, width); got.Cmp(want) != 0 {
+				t.Fatalf("mod %d bits, e %d bits, width %d: got %v want %v",
+					mod.BitLen(), exp.BitLen(), width, got, want)
 			}
 		}
 		// The fixed-base table over the same modulus must agree too.

@@ -417,9 +417,14 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		return nil, fmt.Errorf("%w: own set never returned", smc.ErrProtocol)
 	}
 
-	// Publish the fully-encrypted set to every receiver and observer.
+	// Publish the fully-encrypted set to every other receiver and every
+	// observer. A receiver holds its own set already; a copy sent to
+	// itself would never be read and would stay parked in its mailbox.
 	myFinalBody := newFinalBody(self, myFinal)
 	for _, r := range cfg.Receivers {
+		if r == self {
+			continue
+		}
 		if err := send(ctx, mb, r, msgFinal, cfg.Session, &myFinalBody); err != nil {
 			return nil, err
 		}

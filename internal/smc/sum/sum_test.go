@@ -27,6 +27,9 @@ func runParties(t *testing.T, cfg Config, values map[string]*big.Int) map[string
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
+	// Register every endpoint before any party starts: a party that
+	// sends to a peer not yet registered fails with an unknown node.
+	mailboxes := make(map[string]*transport.Mailbox, len(cfg.Parties))
 	for _, node := range cfg.Parties {
 		ep, err := net.Endpoint(node)
 		if err != nil {
@@ -34,6 +37,9 @@ func runParties(t *testing.T, cfg Config, values map[string]*big.Int) map[string
 		}
 		mb := transport.NewMailbox(ep)
 		defer mb.Close() //nolint:errcheck
+		mailboxes[node] = mb
+	}
+	for node, mb := range mailboxes {
 		wg.Add(1)
 		go func(node string, mb *transport.Mailbox) {
 			defer wg.Done()
@@ -231,12 +237,15 @@ func BenchmarkSum5Party(b *testing.B) {
 			Session:   fmt.Sprintf("b%d", i),
 		}
 		var wg sync.WaitGroup
+		mailboxes := make(map[string]*transport.Mailbox, len(parties))
 		for _, node := range parties {
 			ep, err := net.Endpoint(node)
 			if err != nil {
 				b.Fatal(err)
 			}
-			mb := transport.NewMailbox(ep)
+			mailboxes[node] = transport.NewMailbox(ep)
+		}
+		for node, mb := range mailboxes {
 			wg.Add(1)
 			go func(node string, mb *transport.Mailbox) {
 				defer wg.Done()

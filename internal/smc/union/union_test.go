@@ -26,6 +26,9 @@ func runParties(t *testing.T, cfg Config, sets map[string][][]byte) map[string][
 		mu sync.Mutex
 		wg sync.WaitGroup
 	)
+	// Register every endpoint before any party starts: a party that
+	// sends to a peer not yet registered fails with an unknown node.
+	mailboxes := make(map[string]*transport.Mailbox, len(cfg.Ring))
 	for _, node := range cfg.Ring {
 		ep, err := net.Endpoint(node)
 		if err != nil {
@@ -33,6 +36,9 @@ func runParties(t *testing.T, cfg Config, sets map[string][][]byte) map[string][
 		}
 		mb := transport.NewMailbox(ep)
 		defer mb.Close() //nolint:errcheck
+		mailboxes[node] = mb
+	}
+	for node, mb := range mailboxes {
 		wg.Add(1)
 		go func(node string, mb *transport.Mailbox) {
 			defer wg.Done()
@@ -259,12 +265,15 @@ func BenchmarkUnion3Party(b *testing.B) {
 			Session:   fmt.Sprintf("b%d", i),
 		}
 		var wg sync.WaitGroup
+		mailboxes := make(map[string]*transport.Mailbox, len(ring))
 		for _, node := range ring {
 			ep, err := net.Endpoint(node)
 			if err != nil {
 				b.Fatal(err)
 			}
-			mb := transport.NewMailbox(ep)
+			mailboxes[node] = transport.NewMailbox(ep)
+		}
+		for node, mb := range mailboxes {
 			wg.Add(1)
 			go func(node string, mb *transport.Mailbox) {
 				defer wg.Done()

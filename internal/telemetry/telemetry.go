@@ -518,16 +518,19 @@ const (
 	GaugeAdmissionBytes  = "ingest.inflight_bytes"
 	GaugeAdmissionTokens = "ingest.admission_tokens"
 
-	// Montgomery crypto engine and overlapped relay. montgomery_batches
-	// counts block batches served while a group's fixed-base tables
-	// (built with Montgomery squaring chains) are live; overlap_stalls
-	// counts relay sends that had to wait on the crypto producer
-	// (crypto time not hidden by network time); witness_updates counts
-	// witness-exponent installs on the fragment write path.
-	// All are counts only — Definition 1 secondary information.
-	CtrMontgomeryBatches = "crypto.montgomery_batches"
-	CtrOverlapStalls     = "smc.overlap_stalls"
-	CtrWitnessUpdates    = "integrity.witness_updates"
+	// Commutative-cipher modexp and overlapped relay. modexp_kernel
+	// counts Pohlig-Hellman exponentiations run on the fixed-width
+	// Montgomery kernel, modexp_fallback those delegated to
+	// big.Int.Exp (a group width without a kernel, or a purego or
+	// non-amd64 build); overlap_stalls counts relay sends that had to
+	// wait on the crypto producer (crypto time not hidden by network
+	// time); witness_updates counts witness-exponent installs on the
+	// fragment write path. All are counts only — Definition 1
+	// secondary information.
+	CtrModexpKernel   = "crypto.modexp_kernel"
+	CtrModexpFallback = "crypto.modexp_fallback"
+	CtrOverlapStalls  = "smc.overlap_stalls"
+	CtrWitnessUpdates = "integrity.witness_updates"
 )
 
 // SentTo records one outbound message of the given protocol type and
