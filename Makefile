@@ -13,7 +13,7 @@ GO ?= go
 # indistinguishable from code regressions.
 BENCH_HEAD ?= BENCH_PR10.json
 
-.PHONY: all build test race race-telemetry bench bench-json bench-smoke benchdiff vet purego staticcheck fmt check chaos crash-torture examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
+.PHONY: all build test race race-telemetry bench bench-json bench-smoke benchdiff vet purego staticcheck fmt check chaos crash-torture stress examples obs-smoke obs-ingest-smoke load-smoke tables fuzz clean
 
 all: build vet test
 
@@ -87,6 +87,12 @@ crash-torture:
 	$(GO) test -race -tags torture -run Torture -count=1 \
 		./internal/storage/ ./internal/chaos/
 
+# Flake hunt: the SMC ring protocols, cluster, and loadgen suites at
+# high -count in four parallel processes (see scripts/stress.sh). Slow,
+# so not part of check.
+stress:
+	./scripts/stress.sh
+
 build:
 	$(GO) build ./...
 
@@ -110,11 +116,12 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Hot-path acceptance numbers -> $(BENCH_HEAD) (see scripts/bench.sh),
-# then diff its baseline/after sections to catch headline regressions.
+# Hot-path acceptance numbers -> BENCH_<short HEAD hash>.json (see
+# scripts/bench.sh; baseline is HEAD's parent), then diff that fresh
+# artifact's baseline/after sections to catch headline regressions.
 bench-json:
 	./scripts/bench.sh
-	$(GO) run ./cmd/benchtab -benchdiff $(BENCH_HEAD)
+	$(GO) run ./cmd/benchtab -benchdiff BENCH_$$(git rev-parse --short HEAD).json
 
 # Check the committed bench artifact (baseline vs after): fails on >10%
 # ns/op regression of either headline benchmark, or on any row missing

@@ -218,13 +218,18 @@ func BenchmarkFigure4Intersection(b *testing.B) {
 			Receivers: []string{"P1"},
 			Session:   fmt.Sprintf("fig4-%d", i),
 		}
-		var wg sync.WaitGroup
+		// Register every endpoint before any party starts (see
+		// BenchmarkIntersectParties).
+		mbs := make(map[string]*transport.Mailbox, len(ring))
 		for _, node := range ring {
 			ep, err := net.Endpoint(node)
 			if err != nil {
 				b.Fatal(err)
 			}
-			mb := transport.NewMailbox(ep)
+			mbs[node] = transport.NewMailbox(ep)
+		}
+		var wg sync.WaitGroup
+		for node, mb := range mbs {
 			wg.Add(1)
 			go func(node string, mb *transport.Mailbox) {
 				defer wg.Done()
@@ -753,13 +758,19 @@ func BenchmarkIntersectParties(b *testing.B) {
 					Receivers: []string{ring[0]},
 					Session:   fmt.Sprintf("ip-%d", i),
 				}
-				var wg sync.WaitGroup
+				// Register every endpoint before any party starts: a party
+				// that sends to a peer not yet registered fails with an
+				// unknown node and leaves the rest of the ring blocked.
+				mbs := make(map[string]*transport.Mailbox, len(ring))
 				for _, node := range ring {
 					ep, err := net.Endpoint(node)
 					if err != nil {
 						b.Fatal(err)
 					}
-					mb := transport.NewMailbox(ep)
+					mbs[node] = transport.NewMailbox(ep)
+				}
+				var wg sync.WaitGroup
+				for node, mb := range mbs {
 					wg.Add(1)
 					go func(node string, mb *transport.Mailbox) {
 						defer wg.Done()

@@ -90,7 +90,7 @@ func loadBenchFile(path string) (*benchFile, error) {
 	if len(f.After) == 0 {
 		return nil, fmt.Errorf("%s: no \"after\" rows", path)
 	}
-	for _, r := range f.After {
+	for _, r := range append(f.Baseline, f.After...) {
 		if r.Name == "" {
 			return nil, fmt.Errorf("%s: row with empty name", path)
 		}

@@ -12,7 +12,7 @@
 //	    [-ingest-rate N] [-ingest-burst N] [-ingest-inflight-bytes N]
 //		start one DLA node: fragment store, glsn sequencer/voter,
 //		audit executor, and integrity responder, serving over TCP
-//		until interrupted. -backend selects durability: the JSON-lines
+//		until interrupted. -backend selects durability: the binary
 //		WAL (default when -data is set) or the crash-safe segment
 //		store; -sync and the segment flags tune it. The -ingest-*
 //		flags bound ingest admission (token-bucket rate and inflight

@@ -59,7 +59,7 @@ type Options struct {
 	// endpoint.
 	Policy resilience.Policy
 	// Backend selects node durability: "" or storage.BackendWAL for the
-	// JSON-lines WAL under DataRoot (the pre-PR6 behavior), or
+	// binary-record WAL under DataRoot, or
 	// storage.BackendDisk for the crash-safe segment store.
 	Backend string
 	// Disk tunes the segment store when Backend is storage.BackendDisk

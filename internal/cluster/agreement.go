@@ -169,6 +169,7 @@ func (n *Node) serveSync(ctx context.Context) {
 		if err != nil {
 			return
 		}
+		start := time.Now()
 		var req syncReqBody
 		if err := transport.Unmarshal(msg.Payload, &req); err != nil {
 			continue
@@ -182,18 +183,38 @@ func (n *Node) serveSync(ctx context.Context) {
 			}
 		}
 		sort.Slice(resp.Grants, func(i, j int) bool { return resp.Grants[i].GLSN < resp.Grants[j].GLSN })
-		n.send(ctx, msg.From, msgSyncResp, msg.Session, resp) //nolint:errcheck
+		err = n.send(ctx, msg.From, msgSyncResp, msg.Session, resp)
+		n.observeGrantSync(telemetry.CtrGrantSyncServed, telemetry.HistGrantSyncServed, msg.From, req.From, len(resp.Grants), start, err)
 	}
 }
 
+// observeGrantSync records one side of a grant-sync exchange: a
+// counter, a µs-ladder duration, and a flight event naming the other
+// party, the first requested glsn, and the grant count.
+func (n *Node) observeGrantSync(ctr, hist, peer string, from logmodel.GLSN, grants int, start time.Time, err error) {
+	d := time.Since(start)
+	telemetry.M.Counter(ctr).Add(1)
+	telemetry.M.Histogram(hist).Observe(d)
+	telemetry.F.Record(telemetry.FlightEvent{
+		Kind: telemetry.FlightGrantSync, Node: n.id, Peer: peer,
+		GLSN: uint64(from), Count: grants,
+		DurMS: float64(d.Microseconds()) / 1000, Outcome: telemetry.ErrClass(err),
+	})
+}
+
 // syncFromLeader pulls missed grants from the leader and applies them.
-func (n *Node) syncFromLeader(ctx context.Context) error {
+func (n *Node) syncFromLeader(ctx context.Context) (err error) {
 	if n.isLeader() {
 		return nil
 	}
 	n.mu.RLock()
 	from := n.nextGLSN
 	n.mu.RUnlock()
+	start := time.Now()
+	grants := 0
+	defer func() {
+		n.observeGrantSync(telemetry.CtrGrantSync, telemetry.HistGrantSync, n.roster[0], from, grants, start, err)
+	}()
 	session := "sync/" + n.id + "/" + from.String()
 	if err := n.send(ctx, n.roster[0], msgSyncReq, session, syncReqBody{From: from}); err != nil {
 		return err
@@ -208,6 +229,7 @@ func (n *Node) syncFromLeader(ctx context.Context) error {
 	if err := transport.Unmarshal(msg.Payload, &resp); err != nil {
 		return err
 	}
+	grants = len(resp.Grants)
 	for _, g := range resp.Grants {
 		if err := n.applyStatement(glsnStatement(g.GLSN, g.TicketID)); err != nil {
 			return err

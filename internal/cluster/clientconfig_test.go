@@ -110,3 +110,38 @@ func TestClientOrderingGuard(t *testing.T) {
 		t.Fatalf("StartHealth after first traffic: %v, want ErrClientActive", err)
 	}
 }
+
+// TestOutboxSpoolsBinaryPayload pins the spool format: a store that
+// cannot reach its node is spooled as the binary payload the send would
+// have framed, and replay resends those bytes unchanged to a node that
+// decodes them.
+func TestOutboxSpoolsBinaryPayload(t *testing.T) {
+	tc := startCluster(t)
+	ctx := testCtx(t)
+	c := tc.client(t, "spool-u", "T-spool", ticket.OpWrite)
+	if err := c.EnableOutbox(filepath.Join(t.TempDir(), "outbox")); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.CloseOutbox() }) //nolint:errcheck
+	if err := c.RegisterTicket(ctx); err != nil {
+		t.Fatal(err)
+	}
+	down := tc.boot.Roster[len(tc.boot.Roster)-1]
+	tc.net.SetDropFn(func(m transport.Message) bool { return m.To == down })
+	g, err := c.Log(ctx, map[logmodel.Attr]logmodel.Value{"id": logmodel.String("U1"), "C1": logmodel.Int(7)})
+	tc.net.SetDropFn(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spooled := c.outbox.For(down)
+	if len(spooled) != 1 || !transport.IsBinaryPayload(spooled[0].Payload) {
+		t.Fatalf("spooled entries for %s: %+v", down, spooled)
+	}
+	n, err := c.ReplayOutbox(ctx, down)
+	if err != nil || n != 1 {
+		t.Fatalf("replay delivered %d, error %v", n, err)
+	}
+	if _, ok := tc.nodes[down].Fragment(g); !ok {
+		t.Fatalf("node %s has no fragment for %s after replay", down, g)
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"confaudit/internal/logmodel"
 	"confaudit/internal/mathx"
+	"confaudit/internal/telemetry"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 )
@@ -579,5 +580,52 @@ func TestNodeConfigValidation(t *testing.T) {
 	bad.ID = ""
 	if _, err := New(bad, mb); err == nil {
 		t.Fatal("empty ID accepted")
+	}
+}
+
+// TestGrantSyncObserved drives the grant-sync fallback through its real
+// trigger — a follower that never saw a grant commit receives the
+// fragment for it — and checks both sides leave a trace: the follower's
+// request and the leader's answer each bump a counter, record a
+// µs-ladder duration, and record a flight event naming the other party.
+func TestGrantSyncObserved(t *testing.T) {
+	tc := startCluster(t)
+	ctx := testCtx(t)
+	c := tc.client(t, "u-sync", "TSYNC", ticket.OpWrite)
+	if err := c.RegisterTicket(ctx); err != nil {
+		t.Fatal(err)
+	}
+	leader, follower := tc.boot.Roster[0], tc.boot.Roster[1]
+	reqs := telemetry.M.Counter(telemetry.CtrGrantSync).Value()
+	served := telemetry.M.Counter(telemetry.CtrGrantSyncServed).Value()
+	start := time.Now()
+	tc.net.SetDropFn(func(m transport.Message) bool { return m.To == follower && m.Type == msgAgreeCommit })
+	_, err := c.Log(ctx, map[logmodel.Attr]logmodel.Value{"id": logmodel.String("U1"), "C1": logmodel.Int(1), "C2": logmodel.Int(2)})
+	tc.net.SetDropFn(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := telemetry.M.Counter(telemetry.CtrGrantSync).Value(); got <= reqs {
+		t.Fatalf("grant_sync counter %d, want > %d", got, reqs)
+	}
+	if got := telemetry.M.Counter(telemetry.CtrGrantSyncServed).Value(); got <= served {
+		t.Fatalf("grant_sync_served counter %d, want > %d", got, served)
+	}
+	snap := telemetry.M.Snapshot()
+	for _, h := range []string{telemetry.HistGrantSync, telemetry.HistGrantSyncServed} {
+		if snap.Histograms[h].Count < 1 {
+			t.Errorf("histogram %s recorded nothing", h)
+		}
+	}
+	var sawFollower, sawLeader bool
+	for _, e := range telemetry.F.SnapshotSince(start.Add(-time.Millisecond)).Events {
+		if e.Kind != telemetry.FlightGrantSync || e.Outcome != "ok" || e.Count < 1 {
+			continue
+		}
+		sawFollower = sawFollower || (e.Node == follower && e.Peer == leader)
+		sawLeader = sawLeader || (e.Node == leader && e.Peer == follower)
+	}
+	if !sawFollower || !sawLeader {
+		t.Fatalf("grant-sync flight events: follower=%v leader=%v", sawFollower, sawLeader)
 	}
 }

@@ -82,7 +82,7 @@ type Config struct {
 	WALSync      storage.SyncPolicy
 	WALSyncEvery time.Duration
 	// Storage, when set, journals mutations through the given store —
-	// typically the crash-safe segment store — instead of the JSON-lines
+	// typically the crash-safe segment store — instead of the binary
 	// WAL. The node takes ownership and closes it in CloseStorage. The
 	// store must already be opened (and thereby recovered): New replays
 	// it into memory and surfaces any quarantined extents via
@@ -1301,18 +1301,9 @@ func (n *Node) TicketAllows(ticketID string, op ticket.Op) error {
 }
 
 func (n *Node) send(ctx context.Context, to, typ, session string, body any) error {
-	var msg transport.Message
-	var err error
-	// Bodies with a binary encoding ride the bin3 frame path; the
-	// transport falls back to JSON toward peers that never advertised
-	// the capability, so one send site serves every peer generation.
-	if bb, ok := body.(transport.BinaryBody); ok {
-		msg = transport.NewBinaryMessage(to, typ, session, bb)
-	} else {
-		msg, err = transport.NewMessage(to, typ, session, body)
-		if err != nil {
-			return err
-		}
+	msg, err := transport.NewMessage(to, typ, session, body)
+	if err != nil {
+		return err
 	}
 	if err := n.mb.Send(ctx, msg); err != nil {
 		return fmt.Errorf("cluster: sending %s to %s: %w", typ, to, err)

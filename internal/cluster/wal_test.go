@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"confaudit/internal/logmodel"
+	"confaudit/internal/storage"
 	"confaudit/internal/ticket"
 	"confaudit/internal/transport"
 )
@@ -229,5 +230,82 @@ func TestNilWALIsNoop(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// jsonWALLine is one entry in the retired JSON-lines journal encoding.
+const jsonWALLine = `{"kind":"grant","ticket_id":"T1","glsn":12}`
+
+// replayCount replays the journal in dir, returning the entries
+// delivered and the replay error.
+func replayCount(dir string) (int, error) {
+	n := 0
+	err := ReplayWAL(dir, func(walEntry) error {
+		n++
+		return nil
+	})
+	return n, err
+}
+
+// TestReplayWALLegacyJSONLines pins that the JSON-lines journal
+// encoding is gone: a JSON line is corruption, whether newline-ended or
+// unterminated — the shape a torn tail would have.
+func TestReplayWALLegacyJSONLines(t *testing.T) {
+	for _, journal := range []string{jsonWALLine + "\n", jsonWALLine} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walFile), []byte(journal), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := replayCount(dir); err == nil {
+			t.Fatalf("JSON journal %q replayed %d entries without error", journal, n)
+		}
+	}
+}
+
+// TestReplayWALMixedJSONThenBinary pins corruption handling at both
+// ends of a mixed journal: a JSON line ahead of binary records fails at
+// the first record, and a JSON line after intact binary records fails
+// the replay instead of being dropped as a torn tail.
+func TestReplayWALMixedJSONThenBinary(t *testing.T) {
+	dir := t.TempDir()
+	records, entries := writeTornTestWAL(t, dir)
+	for _, tc := range []struct {
+		journal string
+		want    int
+	}{
+		{jsonWALLine + "\n" + string(records), 0},
+		{string(records) + jsonWALLine, entries},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, walFile), []byte(tc.journal), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := replayCount(dir); err == nil || n != tc.want {
+			t.Fatalf("mixed journal: %d entries, error %v; want %d and an error", n, err, tc.want)
+		}
+	}
+}
+
+// TestReplayStoreLegacyJSONRecords covers the segment-store journal the
+// same way: a record whose payload is a JSON entry after an intact
+// binary record fails the replay.
+func TestReplayStoreLegacyJSONRecords(t *testing.T) {
+	s, err := storage.Open(storage.Options{Backend: storage.BackendMemory}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close() //nolint:errcheck
+	if err := (&storeJournal{s: s}).append(walEntry{Kind: "grant", TicketID: "T1", GLSN: 11}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(storage.Record{Kind: "grant", GLSN: 12, Data: []byte(jsonWALLine)}); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = replayStore(s, func(walEntry) error {
+		n++
+		return nil
+	})
+	if err == nil || n != 1 {
+		t.Fatalf("store with a JSON record: %d entries, error %v; want 1 and an error", n, err)
 	}
 }

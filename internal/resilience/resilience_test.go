@@ -203,16 +203,35 @@ func TestDetectorMarksCrashedPeerDeadAndRecovered(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+	// waitTransition waits for the subscription to publish B reaching
+	// want. Status alone is not enough: it classifies silence on the
+	// fly, ahead of the ping loop's next reclassification, so a restart
+	// timed off Status could land before the Dead transition is ever
+	// published.
+	waitTransition := func(want Status, desc string) {
+		t.Helper()
+		timeout := time.After(5 * time.Second)
+		for {
+			select {
+			case tr := <-trs:
+				if tr.Peer == "B" && tr.To == want {
+					return
+				}
+			case <-timeout:
+				t.Fatalf("subscription never saw B become %s (%s)", want, desc)
+			}
+		}
+	}
 
 	waitStatus(StatusAlive, "initial heartbeats")
 
-	// Crash B.
+	// Crash B; the subscription must see it die.
 	bCancel()
 	detB.Wait()
 	mbB.Close() //nolint:errcheck
-	waitStatus(StatusDead, "after crash")
+	waitTransition(StatusDead, "after crash")
 
-	// Restart B.
+	// Restart B; the subscription must see it come back.
 	epB2, err := net.Endpoint("B")
 	if err != nil {
 		t.Fatal(err)
@@ -222,29 +241,8 @@ func TestDetectorMarksCrashedPeerDeadAndRecovered(t *testing.T) {
 	detB2 := NewDetector(mbB2, []string{"A"}, fastDetectorConfig())
 	detB2.Start(ctx)
 	waiters = append(waiters, detB2.Wait)
+	waitTransition(StatusAlive, "after restart")
 	waitStatus(StatusAlive, "after restart")
-
-	// The subscription saw B die and come back.
-	sawDead, sawAlive := false, false
-	for {
-		select {
-		case tr := <-trs:
-			if tr.Peer == "B" && tr.To == StatusDead {
-				sawDead = true
-			}
-			if tr.Peer == "B" && tr.To == StatusAlive && sawDead {
-				sawAlive = true
-			}
-		default:
-		}
-		if sawDead && sawAlive {
-			break
-		}
-		if ctx.Err() != nil {
-			t.Fatalf("transitions incomplete: dead=%v alive=%v", sawDead, sawAlive)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	view := detA.View()
 	if len(view.Dead()) != 0 {

@@ -111,195 +111,13 @@ type Result struct {
 	Plaintext [][]byte
 }
 
-// relayChunkSize bounds the number of blocks per relay message. A set
-// larger than one chunk is streamed through the ring in pieces, so the
-// next hop starts re-encrypting chunk 0 while this hop is still working
-// on chunk k — ring latency approaches T_set + (n-1)*T_chunk instead of
-// n*T_set. Chunking leaks only the set size, which Definition 1 already
-// treats as permitted secondary information.
+// relayChunkSize bounds the number of blocks per relay message (see
+// smc.Circulate).
 var relayChunkSize = 64
 
-// relayBody is one relayed chunk. Seq/Total are the chunk framing,
-// versioned for wire compatibility: a body without them (Total 0, the
-// pre-chunking encoding) is a complete single-chunk set. Blocks is the
-// legacy element-wise encoding; current senders pack the fixed-width
-// ciphertext blocks into the single Packed run (width BlockLen), and
-// decoders accept either.
-type relayBody struct {
-	Origin   string   `json:"origin"`
-	Hops     int      `json:"hops"`
-	Blocks   [][]byte `json:"blocks,omitempty"`
-	Packed   []byte   `json:"packed,omitempty"`
-	BlockLen int      `json:"block_len,omitempty"`
-	Seq      int      `json:"seq,omitempty"`
-	Total    int      `json:"total,omitempty"`
-}
-
-// newRelayBody builds a chunk body, preferring the packed encoding and
-// falling back to element-wise blocks if they are not uniform width.
-func newRelayBody(origin string, hops int, blocks [][]byte, seq, total int) relayBody {
-	b := relayBody{Origin: origin, Hops: hops, Seq: seq, Total: total}
-	if packed, width, ok := smc.PackBlocks(blocks); ok {
-		b.Packed, b.BlockLen = packed, width
-	} else {
-		b.Blocks = blocks
-	}
-	return b
-}
-
-// relayWire views the body as the shared relay wire shape.
-func (b *relayBody) relayWire() smc.RelayWire {
-	return smc.RelayWire{
-		Origin: b.Origin, Hops: b.Hops, Seq: b.Seq, Total: b.Total,
-		BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks,
-	}
-}
-
-// BinarySize, AppendBinary, and DecodeBinary implement
-// transport.BinaryBody, so relay chunks ride the binary payload codec
-// toward capable peers (and its zero-copy TCP frame path).
-func (b *relayBody) BinarySize() int {
-	w := b.relayWire()
-	return w.BinarySize()
-}
-
-func (b *relayBody) AppendBinary(dst []byte) []byte {
-	w := b.relayWire()
-	return w.AppendBinary(dst)
-}
-
-func (b *relayBody) DecodeBinary(src []byte) error {
-	var w smc.RelayWire
-	if err := w.DecodeBinary(src); err != nil {
-		return err
-	}
-	*b = relayBody{
-		Origin: w.Origin, Hops: w.Hops, Seq: w.Seq, Total: w.Total,
-		BlockLen: w.BlockLen, Packed: w.Packed, Blocks: w.Blocks,
-	}
-	return nil
-}
-
-// blockSlice returns the chunk's blocks regardless of which encoding
-// the sender used.
-func (b *relayBody) blockSlice() ([][]byte, error) {
-	if len(b.Packed) > 0 {
-		if len(b.Blocks) > 0 {
-			return nil, fmt.Errorf("%w: origin %s sent both packed and element-wise blocks", smc.ErrProtocol, b.Origin)
-		}
-		return smc.UnpackBlocks(b.Packed, b.BlockLen)
-	}
-	return b.Blocks, nil
-}
-
-// chunkTotal normalizes the legacy encoding.
-func (b *relayBody) chunkTotal() int {
-	if b.Total <= 0 {
-		return 1
-	}
-	return b.Total
-}
-
-// splitChunks cuts blocks into relayChunkSize pieces; an empty set is a
-// single empty chunk so every origin still injects exactly one stream.
-func splitChunks(blocks [][]byte) [][][]byte {
-	if len(blocks) == 0 {
-		return [][][]byte{nil}
-	}
-	out := make([][][]byte, 0, (len(blocks)+relayChunkSize-1)/relayChunkSize)
-	for len(blocks) > relayChunkSize {
-		out = append(out, blocks[:relayChunkSize])
-		blocks = blocks[relayChunkSize:]
-	}
-	return append(out, blocks)
-}
-
-// reassembly accumulates one origin's chunks.
-type reassembly struct {
-	total  int
-	chunks map[int][][]byte
-}
-
-// add records a chunk, validating the framing against what was already
-// seen. It reports whether the origin's set is now complete.
-func (r *reassembly) add(body *relayBody, blocks [][]byte) (bool, error) {
-	total := body.chunkTotal()
-	if r.chunks == nil {
-		r.total = total
-		r.chunks = make(map[int][][]byte, total)
-	}
-	if total != r.total {
-		return false, fmt.Errorf("%w: origin %s changed chunk count %d to %d", smc.ErrProtocol, body.Origin, r.total, total)
-	}
-	if body.Seq < 0 || body.Seq >= total {
-		return false, fmt.Errorf("%w: origin %s chunk %d of %d out of range", smc.ErrProtocol, body.Origin, body.Seq, total)
-	}
-	if _, dup := r.chunks[body.Seq]; dup {
-		return false, fmt.Errorf("%w: origin %s repeated chunk %d", smc.ErrProtocol, body.Origin, body.Seq)
-	}
-	r.chunks[body.Seq] = blocks
-	return len(r.chunks) == r.total, nil
-}
-
-// assemble concatenates the chunks in sequence order.
-func (r *reassembly) assemble() [][]byte {
-	var out [][]byte
-	for i := 0; i < r.total; i++ {
-		out = append(out, r.chunks[i]...)
-	}
-	return out
-}
-
-// finalBody publishes one party's fully-encrypted set, with the same
-// packed/legacy dual encoding as relayBody.
-type finalBody struct {
-	Origin   string   `json:"origin"`
-	Blocks   [][]byte `json:"blocks,omitempty"`
-	Packed   []byte   `json:"packed,omitempty"`
-	BlockLen int      `json:"block_len,omitempty"`
-}
-
-func newFinalBody(origin string, blocks [][]byte) finalBody {
-	b := finalBody{Origin: origin}
-	if packed, width, ok := smc.PackBlocks(blocks); ok {
-		b.Packed, b.BlockLen = packed, width
-	} else {
-		b.Blocks = blocks
-	}
-	return b
-}
-
-func (b *finalBody) blockSlice() ([][]byte, error) {
-	if len(b.Packed) > 0 {
-		if len(b.Blocks) > 0 {
-			return nil, fmt.Errorf("%w: origin %s sent both packed and element-wise blocks", smc.ErrProtocol, b.Origin)
-		}
-		return smc.UnpackBlocks(b.Packed, b.BlockLen)
-	}
-	return b.Blocks, nil
-}
-
-// BinarySize, AppendBinary, and DecodeBinary implement
-// transport.BinaryBody through the shared relay wire shape (the hops
-// and chunk-framing fields encode as zero).
-func (b *finalBody) BinarySize() int {
-	w := smc.RelayWire{Origin: b.Origin, BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks}
-	return w.BinarySize()
-}
-
-func (b *finalBody) AppendBinary(dst []byte) []byte {
-	w := smc.RelayWire{Origin: b.Origin, BlockLen: b.BlockLen, Packed: b.Packed, Blocks: b.Blocks}
-	return w.AppendBinary(dst)
-}
-
-func (b *finalBody) DecodeBinary(src []byte) error {
-	var w smc.RelayWire
-	if err := w.DecodeBinary(src); err != nil {
-		return err
-	}
-	*b = finalBody{Origin: w.Origin, BlockLen: w.BlockLen, Packed: w.Packed, Blocks: w.Blocks}
-	return nil
-}
+// finalBody publishes one party's fully-encrypted set: Origin and the
+// packed run, with the hop and chunk framing left zero.
+type finalBody = smc.RelayWire
 
 // Run executes one party's role in the protocol. Every ring member must
 // call Run concurrently with its own mailbox and local set.
@@ -316,10 +134,6 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	sp.SetCount(len(localSet))
 	defer func() { sp.End(err) }()
 	n := len(cfg.Ring)
-	next, err := smc.NextInRing(cfg.Ring, self)
-	if err != nil {
-		return nil, err
-	}
 	key, err := sessionKey(&cfg)
 	if err != nil {
 		return nil, fmt.Errorf("intersect: generating key: %w", err)
@@ -329,108 +143,30 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 	// elements produced each block so plaintext can be recovered later.
 	blocks, owners := encodeSet(key, localSet)
 
-	// Round 1: encrypt own set and stream it into the ring chunk by
-	// chunk, so downstream hops start re-encrypting before the whole
-	// set is done here. The encryption stream runs ahead of the sends
-	// (double-buffered; see smc.EncryptStream), overlapping this hop's
-	// modexp work with its own wire time.
-	runCtx, cancelStream := context.WithCancel(ctx)
-	defer cancelStream()
-	myChunks := splitChunks(blocks)
-	encCh := smc.EncryptStream(runCtx, cfg.Session, self, key, myChunks)
-	for range myChunks {
-		ec, ok := smc.NextEncChunk(encCh)
-		if !ok {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, fmt.Errorf("intersect: encrypting local set: %w", cerr)
-			}
-			return nil, fmt.Errorf("%w: encryption stream ended early", smc.ErrProtocol)
-		}
-		if ec.Err != nil {
-			ec.Span.End(ec.Err)
-			return nil, fmt.Errorf("intersect: encrypting local set: %w", ec.Err)
-		}
-		body := newRelayBody(self, 1, ec.Blocks, ec.Seq, len(myChunks))
-		err = send(ctx, mb, next, msgRelay, cfg.Session, &body)
-		smc.ObserveRelayChunk(ec.Span, ec.Start, next, ec.Seq, len(myChunks), ec.Blocks, err)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Relay loop: each party sees every origin's complete chunk stream
-	// exactly once — n-1 streams from other origins (re-encrypt and
-	// forward chunk-wise) and its own returning fully-encrypted stream.
-	var myFinal [][]byte
-	myDone := false
-	streams := make(map[string]*reassembly, n)
-	for complete := 0; complete < n; {
-		msg, err := mb.Expect(ctx, msgRelay, cfg.Session)
-		if err != nil {
-			return nil, fmt.Errorf("intersect: awaiting relay: %w", err)
-		}
-		var body relayBody
-		if err := transport.Unmarshal(msg.Payload, &body); err != nil {
-			return nil, err
-		}
-		chunkBlocks, err := body.blockSlice()
-		if err != nil {
-			return nil, err
-		}
-		if body.Origin == self {
-			if body.Hops != n {
-				return nil, fmt.Errorf("%w: own set returned after %d of %d encryptions", smc.ErrProtocol, body.Hops, n)
-			}
-		} else {
-			csp, _ := telemetry.StartSpan(ctx, cfg.Session, self, "smc.relay_chunk")
-			chunkStart := time.Now()
-			enc, err := key.EncryptBlocks(chunkBlocks)
-			if err != nil {
-				csp.End(err)
-				return nil, fmt.Errorf("intersect: re-encrypting set from %s: %w", body.Origin, err)
-			}
-			fwd := newRelayBody(body.Origin, body.Hops+1, enc, body.Seq, body.Total)
-			err = send(ctx, mb, next, msgRelay, cfg.Session, &fwd)
-			smc.ObserveRelayChunk(csp, chunkStart, next, body.Seq, body.chunkTotal(), enc, err)
-			if err != nil {
-				return nil, err
-			}
-		}
-		r := streams[body.Origin]
-		if r == nil {
-			r = &reassembly{}
-			streams[body.Origin] = r
-		}
-		done, err := r.add(&body, chunkBlocks)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			complete++
-			if body.Origin == self {
-				myFinal = r.assemble()
-				myDone = true
-			}
-		}
-	}
-	if !myDone {
-		return nil, fmt.Errorf("%w: own set never returned", smc.ErrProtocol)
+	// Round 1: every set circulates the ring; this party's comes back
+	// fully encrypted.
+	myFinal, err := smc.Circulate(ctx, mb, key, cfg.Ring, cfg.Session, msgRelay, blocks, relayChunkSize)
+	if err != nil {
+		return nil, err
 	}
 
 	// Publish the fully-encrypted set to every other receiver and every
 	// observer. A receiver holds its own set already; a copy sent to
 	// itself would never be read and would stay parked in its mailbox.
-	myFinalBody := newFinalBody(self, myFinal)
+	myFinalBody, err := smc.PackRelay(finalBody{Origin: self}, myFinal)
+	if err != nil {
+		return nil, err
+	}
 	for _, r := range cfg.Receivers {
 		if r == self {
 			continue
 		}
-		if err := send(ctx, mb, r, msgFinal, cfg.Session, &myFinalBody); err != nil {
+		if err := send(ctx, mb, r, msgFinal, cfg.Session, myFinalBody); err != nil {
 			return nil, err
 		}
 	}
 	for _, o := range cfg.Observers {
-		if err := send(ctx, mb, o, msgFinal, cfg.Session, &myFinalBody); err != nil {
+		if err := send(ctx, mb, o, msgFinal, cfg.Session, myFinalBody); err != nil {
 			return nil, err
 		}
 	}
@@ -453,7 +189,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		if msg.From != body.Origin {
 			return nil, fmt.Errorf("%w: node %s published a set claiming origin %s", smc.ErrProtocol, msg.From, body.Origin)
 		}
-		fb, err := body.blockSlice()
+		fb, err := body.Unpack()
 		if err != nil {
 			return nil, err
 		}
@@ -499,7 +235,7 @@ func Observe(ctx context.Context, mb *transport.Mailbox, cfg Config) (int, error
 		if msg.From != body.Origin {
 			return 0, fmt.Errorf("%w: node %s published a set claiming origin %s", smc.ErrProtocol, msg.From, body.Origin)
 		}
-		fb, err := body.blockSlice()
+		fb, err := body.Unpack()
 		if err != nil {
 			return 0, err
 		}
@@ -548,9 +284,8 @@ func intersectAll(ring []string, finals map[string][][]byte) map[string]struct{}
 	return common
 }
 
-// send defers the body's payload encoding to the transport (binary
-// toward capable peers — the zero-copy frame path — JSON toward
-// everyone else).
+// send defers the body's binary payload encoding to the transport (the
+// zero-copy frame path on TCP).
 func send(ctx context.Context, mb *transport.Mailbox, to, typ, session string, body transport.BinaryBody) error {
 	msg := transport.NewBinaryMessage(to, typ, session, body)
 	if err := mb.Send(ctx, msg); err != nil {

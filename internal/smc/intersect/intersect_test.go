@@ -14,10 +14,16 @@ import (
 
 func runParties(t *testing.T, cfg Config, sets map[string][][]byte) map[string]*Result {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	net := transport.NewMemNetwork()
 	defer net.Close() //nolint:errcheck
+	return runPartiesOn(t, net, cfg, sets)
+}
+
+// runPartiesOn runs every ring member's Run concurrently over net.
+func runPartiesOn(t *testing.T, net transport.Network, cfg Config, sets map[string][][]byte) map[string]*Result {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
 	results := make(map[string]*Result, len(cfg.Ring))
 	errs := make(map[string]error, len(cfg.Ring))

@@ -11,7 +11,7 @@ import (
 //
 // A ring protocol's round 1 is a strict alternation on the hot path:
 // encrypt own chunk k, send it, encrypt chunk k+1, ... — the network
-// sits idle while the CPU exponentiates and vice versa. EncryptStream
+// sits idle while the CPU exponentiates and vice versa. encryptStream
 // decouples the two: a producer goroutine precomputes the session's
 // chunk encryptions ahead of the ring sends, double-buffered through a
 // channel holding one finished chunk (so at any moment one chunk can be
@@ -21,8 +21,8 @@ import (
 // the overlap could not hide (on a single-core box this is expected to
 // be nearly every chunk; the counter is how the benchmark tells).
 
-// EncChunk is one precomputed chunk of a session's encryption stream.
-type EncChunk struct {
+// encChunk is one precomputed chunk of a session's encryption stream.
+type encChunk struct {
 	// Seq is the chunk's position in the stream.
 	Seq int
 	// Blocks is the encrypted chunk (nil when Err is set).
@@ -34,7 +34,7 @@ type EncChunk struct {
 	// latency accounting spanning encrypt plus send.
 	Start time.Time
 	// Span is the chunk's open telemetry span; the consumer closes it
-	// via ObserveRelayChunk (or End on error).
+	// via observeRelayChunk (or End on error).
 	Span *telemetry.Span
 }
 
@@ -44,19 +44,19 @@ type BlockEncryptor interface {
 	EncryptBlocks(blocks [][]byte) ([][]byte, error)
 }
 
-// EncryptStream starts the producer for a session's own-set encryption
+// encryptStream starts the producer for a session's own-set encryption
 // stream and returns its output channel. The channel is closed after
 // the last chunk (or after delivering an errored chunk). Cancel ctx to
 // stop the producer early; it never blocks past cancellation.
-func EncryptStream(ctx context.Context, session, self string, key BlockEncryptor, chunks [][][]byte) <-chan EncChunk {
-	ch := make(chan EncChunk, 1)
+func encryptStream(ctx context.Context, session, self string, key BlockEncryptor, chunks [][][]byte) <-chan encChunk {
+	ch := make(chan encChunk, 1)
 	go func() {
 		defer close(ch)
 		for seq, chunk := range chunks {
 			sp, _ := telemetry.StartSpan(ctx, session, self, "smc.relay_chunk")
 			start := time.Now()
 			enc, err := key.EncryptBlocks(chunk)
-			ec := EncChunk{Seq: seq, Blocks: enc, Err: err, Start: start, Span: sp}
+			ec := encChunk{Seq: seq, Blocks: enc, Err: err, Start: start, Span: sp}
 			select {
 			case ch <- ec:
 			case <-ctx.Done():
@@ -71,11 +71,11 @@ func EncryptStream(ctx context.Context, session, self string, key BlockEncryptor
 	return ch
 }
 
-// NextEncChunk takes the next precomputed chunk off the stream,
+// nextEncChunk takes the next precomputed chunk off the stream,
 // counting a stall when the producer has not finished it yet — the
 // moments the ring send path waited on crypto. A closed, drained
 // stream returns ok=false without counting a stall.
-func NextEncChunk(ch <-chan EncChunk) (EncChunk, bool) {
+func nextEncChunk(ch <-chan encChunk) (encChunk, bool) {
 	select {
 	case ec, ok := <-ch:
 		return ec, ok

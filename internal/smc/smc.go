@@ -123,12 +123,12 @@ func Contains(nodes []string, node string) bool {
 	return false
 }
 
-// ObserveRelayChunk finishes one ring-relay chunk span with the framing
+// observeRelayChunk finishes one ring-relay chunk span with the framing
 // and size facts Definition 1 permits (peer, Seq/Total, byte count) and
 // feeds the shared relay metrics. start is when the hop began work on
 // the chunk; blocks are the re-encrypted payload about to be (or just)
 // forwarded.
-func ObserveRelayChunk(sp *telemetry.Span, start time.Time, peer string, seq, total int, blocks [][]byte, err error) {
+func observeRelayChunk(sp *telemetry.Span, start time.Time, peer string, seq, total int, blocks [][]byte, err error) {
 	n := 0
 	for _, b := range blocks {
 		n += len(b)

@@ -4,34 +4,34 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"confaudit/internal/telemetry"
 )
 
 // Shared binary payload encoding for the ring-relay body shape.
 //
 // Every relay-style body in the SMC protocols (intersect/union relay
-// chunks, final-set publications, union collect/decrypt batches) is the
-// same seven fields: an origin, small integer framing (hops, chunk
-// seq/total, block width), and a block batch carried either as one
-// packed run or as an element-wise list. RelayWire is that shape's
-// binary encoding, so each protocol's body type implements
-// transport.BinaryBody by delegating here rather than re-deriving the
-// codec.
+// chunks, final-set publications, union collect/decrypt/result
+// batches) is the same six fields: an origin, small integer framing
+// (hops, chunk seq/total, block width), and the block batch as one
+// packed run. RelayWire is that shape and its binary encoding, so each
+// protocol's body is a RelayWire rather than a re-derived codec.
 //
 // Layout (all integers uvarint):
 //
-//	len(Origin) ‖ Origin ‖ Hops ‖ Seq ‖ Total ‖ BlockLen ‖
-//	len(Packed) ‖ Packed ‖ count(Blocks) ‖ { len(block) ‖ block }*
+//	len(Origin) ‖ Origin ‖ Hops ‖ Seq ‖ Total ‖ BlockLen ‖ len(Packed) ‖ Packed
 //
-// The packed run dominates in practice — PackBlocks produces it for
-// uniform-width ciphertext batches — and rides the wire raw: no base64,
-// no per-element framing, and on the TCP fast path it is appended
+// Every commutative-cipher block is exactly PHKey.BlockSize() wide
+// (Encrypt and Decrypt check the input width and pad the output), so a
+// batch always packs into one contiguous run. The packed run rides the
+// wire raw: no per-element framing, and on the TCP path it is appended
 // straight into the envelope codec's pooled frame buffer (BinarySize is
-// exact, so the frame length prefix can be written first). Only sizes
-// and counts are visible in the framing, the secondary information
-// Definition 1 permits.
+// exact, so the frame length prefix can be written first). Only block
+// count and width — sizes and counts, the secondary information
+// Definition 1 permits — are visible in the framing.
 
-// RelayWire is the union of fields the relay-shaped bodies carry.
-// Unused fields encode as zero and cost one byte each.
+// RelayWire is the relay-shaped body. Fields a protocol phase does not
+// use encode as zero and cost one byte each.
 type RelayWire struct {
 	Origin   string
 	Hops     int
@@ -39,7 +39,42 @@ type RelayWire struct {
 	Total    int
 	BlockLen int
 	Packed   []byte
-	Blocks   [][]byte
+}
+
+// PackRelay returns w carrying blocks as its packed run. A batch whose
+// blocks do not share one nonzero width has no packed encoding, and no
+// correct sender produces one: it is ErrProtocol, raised here on the
+// sending side.
+func PackRelay(w RelayWire, blocks [][]byte) (*RelayWire, error) {
+	w.Packed, w.BlockLen = nil, 0
+	if len(blocks) > 0 {
+		w.BlockLen = len(blocks[0])
+		w.Packed = make([]byte, 0, w.BlockLen*len(blocks))
+	}
+	for i, b := range blocks {
+		if len(b) != w.BlockLen || w.BlockLen == 0 {
+			return nil, fmt.Errorf("%w: block %d is %d bytes in a batch of %d-byte blocks", ErrProtocol, i, len(b), w.BlockLen)
+		}
+		w.Packed = append(w.Packed, b...)
+	}
+	telemetry.M.Counter(telemetry.CtrCodecBytesSent).Add(int64(len(w.Packed)))
+	return &w, nil
+}
+
+// Unpack returns the blocks of the packed run, sub-slicing (not
+// copying) Packed.
+func (w *RelayWire) Unpack() ([][]byte, error) {
+	if len(w.Packed) == 0 {
+		return nil, nil
+	}
+	if w.BlockLen <= 0 || len(w.Packed)%w.BlockLen != 0 {
+		return nil, fmt.Errorf("%w: packed run of %d bytes is not a multiple of block width %d", ErrProtocol, len(w.Packed), w.BlockLen)
+	}
+	out := make([][]byte, len(w.Packed)/w.BlockLen)
+	for i := range out {
+		out[i] = w.Packed[i*w.BlockLen : (i+1)*w.BlockLen : (i+1)*w.BlockLen]
+	}
+	return out, nil
 }
 
 // uvarintLen is the encoded size of v.
@@ -54,12 +89,7 @@ func (w *RelayWire) BinarySize() int {
 	n += uvarintLen(uint64(w.Seq))
 	n += uvarintLen(uint64(w.Total))
 	n += uvarintLen(uint64(w.BlockLen))
-	n += uvarintLen(uint64(len(w.Packed))) + len(w.Packed)
-	n += uvarintLen(uint64(len(w.Blocks)))
-	for _, b := range w.Blocks {
-		n += uvarintLen(uint64(len(b))) + len(b)
-	}
-	return n
+	return n + uvarintLen(uint64(len(w.Packed))) + len(w.Packed)
 }
 
 // AppendBinary appends the encoding to dst and returns the extended
@@ -72,13 +102,7 @@ func (w *RelayWire) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(w.Total))
 	dst = binary.AppendUvarint(dst, uint64(w.BlockLen))
 	dst = binary.AppendUvarint(dst, uint64(len(w.Packed)))
-	dst = append(dst, w.Packed...)
-	dst = binary.AppendUvarint(dst, uint64(len(w.Blocks)))
-	for _, b := range w.Blocks {
-		dst = binary.AppendUvarint(dst, uint64(len(b)))
-		dst = append(dst, b...)
-	}
-	return dst
+	return append(dst, w.Packed...)
 }
 
 // DecodeBinary decodes an encoding produced by AppendBinary into w,
@@ -143,36 +167,6 @@ func (w *RelayWire) DecodeBinary(src []byte) error {
 	w.Packed = nil
 	if len(packed) > 0 {
 		w.Packed = append([]byte(nil), packed...)
-	}
-	count, err := small()
-	if err != nil {
-		return err
-	}
-	w.Blocks = nil
-	if count > 0 {
-		if count > len(rest) {
-			// Each block costs at least its one-byte length prefix.
-			return fmt.Errorf("%w: relay wire claims %d blocks in %d bytes", ErrBadWireValue, count, len(rest))
-		}
-		// Copy the remaining run once and subslice blocks out of the
-		// copy, so the legacy element-wise path costs one allocation
-		// instead of one per block.
-		backing := append([]byte(nil), rest...)
-		w.Blocks = make([][]byte, 0, count)
-		pos := 0
-		for i := 0; i < count; i++ {
-			n, sz := binary.Uvarint(backing[pos:])
-			if sz <= 0 {
-				return fmt.Errorf("%w: truncated relay wire body", ErrBadWireValue)
-			}
-			pos += sz
-			if n > uint64(len(backing)-pos) {
-				return fmt.Errorf("%w: relay wire run of %d bytes exceeds remaining %d", ErrBadWireValue, n, len(backing)-pos)
-			}
-			w.Blocks = append(w.Blocks, backing[pos:pos+int(n):pos+int(n)])
-			pos += int(n)
-		}
-		rest = rest[pos:]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after relay wire body", ErrBadWireValue, len(rest))

@@ -13,7 +13,7 @@ const (
 	// BackendMemory keeps the journal in RAM (the pre-PR6 default when no
 	// data directory is set).
 	BackendMemory = "memory"
-	// BackendWAL is the JSON-lines write-ahead log in internal/cluster —
+	// BackendWAL is the binary-record write-ahead log in internal/cluster —
 	// selected there, not constructed by this package.
 	BackendWAL = "wal"
 	// BackendDisk is the crash-safe segment store.

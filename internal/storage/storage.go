@@ -42,7 +42,7 @@ type Record struct {
 	// mutation is not glsn-scoped. Segments track the extent of the
 	// glsns they hold so corruption can be reported as a missing range.
 	GLSN uint64
-	// Data is the payload (the cluster layer's JSON-encoded WAL entry).
+	// Data is the payload (the cluster layer's binary-encoded WAL entry).
 	Data []byte
 }
 

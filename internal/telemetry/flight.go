@@ -34,6 +34,7 @@ const (
 	FlightPeerDead      = "health.peer_dead"   // failure detector declared a peer dead
 	FlightPeerAlive     = "health.peer_alive"  // previously dead peer heartbeating again
 	FlightQuarantine    = "storage.quarantine" // recovery quarantined corrupt segments
+	FlightGrantSync     = "cluster.grant_sync" // follower pulled missed grants; leader answered
 )
 
 // FlightEvent is one recorded anomaly. The schema is fixed; every

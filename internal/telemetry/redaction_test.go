@@ -134,12 +134,17 @@ func TestRedactionFullQuery(t *testing.T) {
 	} {
 		telemetry.M.Gauge(g).Set(0)
 	}
-	// Binary ingest-plane counters: store_bytes_saved records on every
-	// binary store-body encode (asserted nonzero below); the fan-out and
-	// WAL-record counters fire only on durable nodes with big batches,
-	// so pin their names onto the surface here.
+	// Binary ingest-plane counters: the fan-out and WAL-record counters
+	// fire only on durable nodes with big batches, so pin their names
+	// onto the surface here.
 	telemetry.M.Counter(telemetry.CtrIngestFanout).Add(0)
 	telemetry.M.Counter(telemetry.CtrWALBinaryRecords).Add(0)
+	// The grant-sync fallback fires only when a follower missed a grant
+	// commit; pin both sides' counters and histograms here.
+	telemetry.M.Counter(telemetry.CtrGrantSync).Add(0)
+	telemetry.M.Counter(telemetry.CtrGrantSyncServed).Add(0)
+	telemetry.M.Histogram(telemetry.HistGrantSync).Observe(0)
+	telemetry.M.Histogram(telemetry.HistGrantSyncServed).Observe(0)
 	// Stage histograms and watermark gauges (PR 10). The WAL-phase and
 	// appender-side stages fire only on durable deployments and the
 	// streaming path; pin every name so the sweep proves the whole stage
@@ -178,6 +183,10 @@ func TestRedactionFullQuery(t *testing.T) {
 		GLSN: 0x139aef78, Count: 3, DurMS: 123.5,
 		Outcome: telemetry.ErrClass(context.DeadlineExceeded),
 	})
+	telemetry.F.Record(telemetry.FlightEvent{
+		Kind: telemetry.FlightGrantSync, Node: "N1", Peer: "N0",
+		GLSN: 0x139aef78, Count: 2, DurMS: 0.8, Outcome: telemetry.ErrClass(nil),
+	})
 
 	// Gather the complete observability surface: the metrics snapshot,
 	// every stored trace as JSON, and every rendered tree.
@@ -189,14 +198,11 @@ func TestRedactionFullQuery(t *testing.T) {
 	}
 	surface = append(surface, string(mj))
 
-	// The wire-codec volume counters must have recorded the relayed
+	// The wire-codec volume counter must have recorded the relayed
 	// ciphertext traffic — sizes only; the redaction checks below verify
 	// nothing beyond the metric names and numbers reached the surface.
 	if snap.Counters[telemetry.CtrCodecBytesSent] == 0 {
 		t.Error("codec_bytes_sent recorded nothing for a ring-relay query")
-	}
-	if snap.Counters[telemetry.CtrCodecBytesSaved] == 0 {
-		t.Error("codec_bytes_saved recorded nothing for a ring-relay query")
 	}
 	if _, ok := snap.Gauges[telemetry.GaugeWorkpoolBusy]; !ok {
 		t.Error("workpool busy gauge missing from the snapshot")
@@ -236,12 +242,7 @@ func TestRedactionFullQuery(t *testing.T) {
 	if _, ok := snap.Counters[telemetry.CtrOverlapStalls]; !ok {
 		t.Error("overlap_stalls counter missing from the snapshot")
 	}
-	// The batched write travelled as binary store bodies, so the codec
-	// must have banked savings against the JSON estimate — sizes only.
-	if snap.Counters[telemetry.CtrCodecStoreSaved] == 0 {
-		t.Error("store_bytes_saved recorded nothing for a batched binary write")
-	}
-	for _, ctr := range []string{telemetry.CtrIngestFanout, telemetry.CtrWALBinaryRecords} {
+	for _, ctr := range []string{telemetry.CtrIngestFanout, telemetry.CtrWALBinaryRecords, telemetry.CtrGrantSync, telemetry.CtrGrantSyncServed} {
 		if _, ok := snap.Counters[ctr]; !ok {
 			t.Errorf("ingest-plane counter %s missing from the snapshot", ctr)
 		}
@@ -308,6 +309,9 @@ func TestRedactionFullQuery(t *testing.T) {
 		}
 		if len(body) == 0 {
 			t.Errorf("%s served an empty body", path)
+		}
+		if path == "/debug/dla/flight" && !strings.Contains(string(body), telemetry.FlightGrantSync) {
+			t.Errorf("%s is missing the %s event", path, telemetry.FlightGrantSync)
 		}
 		surface = append(surface, string(body))
 	}

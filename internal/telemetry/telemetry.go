@@ -267,16 +267,18 @@ func (r *Registry) Counter(name string) *Counter {
 // per-peer store-round histograms derive from HistIngestStoreRTT by
 // suffixing the peer node ID, so boundsFor also matches that prefix.
 var microHists = map[string]bool{
-	HistWALFlush:       true,
-	HistWALEncode:      true,
-	HistWALStage:       true,
-	HistWALFsync:       true,
-	HistGrantWait:      true,
-	HistIngestSealWait: true,
-	HistIngestReserve:  true,
-	HistIngestStoreRTT: true,
-	HistIngestDecode:   true,
-	HistIngestAckTurn:  true,
+	HistWALFlush:        true,
+	HistWALEncode:       true,
+	HistWALStage:        true,
+	HistWALFsync:        true,
+	HistGrantWait:       true,
+	HistGrantSync:       true,
+	HistGrantSyncServed: true,
+	HistIngestSealWait:  true,
+	HistIngestReserve:   true,
+	HistIngestStoreRTT:  true,
+	HistIngestDecode:    true,
+	HistIngestAckTurn:   true,
 }
 
 // boundsFor picks the bucket bounds for a histogram name at creation.
@@ -392,6 +394,16 @@ const (
 	CtrRecordsLogged   = "cluster.client.records"    // records written via Log/LogBatch
 	CtrStoreBatches    = "cluster.node.store_batches"
 
+	// Grant-sync fallback: a follower whose store waited out a grant it
+	// never saw commit pulls missed grants from the leader. The
+	// follower counts and times its request (send → grants applied);
+	// the leader counts and times each answer (request decoded →
+	// response sent). Counts and durations only.
+	CtrGrantSync        = "cluster.node.grant_sync"
+	HistGrantSync       = "cluster.node.grant_sync_rtt"
+	CtrGrantSyncServed  = "cluster.node.grant_sync_served"
+	HistGrantSyncServed = "cluster.node.grant_sync_serve"
+
 	// Audit path.
 	HistAuditQuery    = "audit.query"      // coordinator: whole query
 	HistAuditPlan     = "audit.parse_plan" // coordinator: parse+normalize+classify
@@ -417,24 +429,17 @@ const (
 	CtrRecv      = "transport.recv"
 	CtrRecvBytes = "transport.recv_bytes"
 
-	// Wire codec. codec_bytes_sent counts bytes framed by the compact
-	// binary encodings (binary envelopes on TCP, packed relay blocks on
-	// any transport); codec_bytes_saved is the JSON/base64 inflation
-	// those encodings avoided, computed from the deterministic base64
-	// expansion of the same bytes — sizes only, Definition 1 secondary
-	// information.
-	CtrCodecBytesSent  = "transport.codec_bytes_sent"
-	CtrCodecBytesSaved = "transport.codec_bytes_saved"
+	// Wire codec. codec_bytes_sent counts bytes framed by the binary
+	// encodings (binary envelopes on TCP, packed relay blocks on any
+	// transport) — sizes only, Definition 1 secondary information.
+	CtrCodecBytesSent = "transport.codec_bytes_sent"
 
-	// Binary ingest plane. store_bytes_saved estimates the JSON bytes the
-	// binary store-body payload codec avoided (decimal big-int rendering
-	// plus field framing); ingest_fanout_batches counts node-side store
+	// Binary ingest plane. ingest_fanout_batches counts node-side store
 	// batches whose decode/encode work fanned over the shared worker pool
 	// with the WAL group commit pipelined against the in-memory apply;
 	// binary_records counts length-prefixed binary journal records
 	// encoded for the WAL or segment store. Sizes and counts only —
 	// Definition 1 secondary information.
-	CtrCodecStoreSaved  = "codec.store_bytes_saved"
 	CtrIngestFanout     = "cluster.ingest_fanout_batches"
 	CtrWALBinaryRecords = "wal.binary_records"
 
@@ -472,7 +477,7 @@ const (
 	// seal wait (staging open → batch sealed), glsn-range reservation
 	// round, store-round RTT (aggregate plus per-peer via the
 	// ".<node>" suffix — node IDs are Definition 1 peer identities),
-	// node-side fan-out decode of a bin3 store-batch frame, node ack
+	// node-side fan-out decode of a binary store-batch frame, node ack
 	// turnaround (frame receipt → ack sent), and the WAL group-commit
 	// phases: record encode, in-order stage, and the fsync itself.
 	HistIngestSealWait = "ingest.seal_wait"

@@ -72,8 +72,8 @@ func (m *Mailbox) Send(ctx context.Context, msg Message) error {
 		msg.TraceSession, msg.TraceSpan = telemetry.SpanRef(ctx)
 	}
 	n := len(msg.Payload)
-	if body, ok := msg.pendingBody(); ok {
-		n = payloadHdrLen + body.BinarySize()
+	if msg.body != nil {
+		n = payloadHdrLen + msg.body.BinarySize()
 	}
 	err := m.ep.Send(ctx, msg)
 	if err == nil {

@@ -1,40 +1,32 @@
 package transport
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 )
 
 // Binary payload codec.
 //
-// The envelope codec (codec.go) carries Message.Payload raw, but the
-// payload itself was still always JSON: relay bodies base64 their
-// packed ciphertext blocks, re-inflating exactly the bytes the binary
-// envelope stopped inflating. This file closes that gap: a protocol
-// body that implements BinaryBody can ride the wire in a compact
-// binary payload encoding, and — on the TCP fast path — is appended
+// A protocol body that implements BinaryBody rides the wire in a
+// compact binary payload encoding and — on the TCP path — is appended
 // STRAIGHT into the envelope codec's pooled frame buffer, so a packed
-// relay block goes from smc.PackBlocks to the socket without an
+// relay run goes from the protocol to the socket without an
 // intermediate payload allocation or copy.
 //
-// Encoding is deferred until the transport knows the receiver:
-// NewBinaryMessage stores the body un-encoded on the Message; the
-// in-memory network encodes binary at delivery (both ends are the same
-// build), while the TCP endpoint consults the peer's advertised codec
-// level — only peers advertising "bin3" (this build) receive binary
-// payloads, everyone else gets the body's JSON encoding, byte-identical
-// to what a pre-payload-codec build would have sent.
-//
-// The first payload byte discriminates, mirroring the envelope codec:
-// JSON payloads always start with '{' (0x7B), binary payloads with
-// payloadMagic. Unmarshal sniffs and dispatches, so receivers need no
-// negotiation to decode. After Send returns the caller may freely reuse
-// the buffers backing the body: every encode path copies into memory
-// the sender does not retain (the aliasing regression test pins this).
+// A body's payload encoding is fixed by its type: a BinaryBody always
+// travels binary, any other body as JSON. NewMessage and
+// NewBinaryMessage store a binary body un-encoded on the Message and
+// the transport encodes it at send time — the in-memory network into a
+// fresh payload buffer, the TCP endpoint straight into its frame
+// buffer. Unmarshal picks the decoder from the target type the same
+// way, so a JSON payload for a binary body (or the reverse) is an
+// error, never a fallback. After Send returns the caller may freely
+// reuse the buffers backing the body: every encode path copies into
+// memory the sender does not retain (the aliasing regression tests pin
+// this).
 
 // BinaryBody is implemented by protocol bodies with a compact binary
-// payload encoding alongside their JSON tags. AppendBinary must append
+// payload encoding. AppendBinary must append
 // exactly BinarySize bytes and must not retain dst; DecodeBinary must
 // copy what it keeps, since the source buffer is recycled.
 type BinaryBody interface {
@@ -49,7 +41,8 @@ type BinaryBody interface {
 }
 
 const (
-	// payloadMagic discriminates binary payloads from JSON ones ('{').
+	// payloadMagic opens every binary payload; a JSON object cannot
+	// start with it ('{' is 0x7B).
 	payloadMagic = 0xB7
 	// payloadVersion is the binary payload codec version.
 	payloadVersion = 1
@@ -57,10 +50,9 @@ const (
 	payloadHdrLen = 2
 )
 
-// NewBinaryMessage builds a message whose payload encoding is deferred
-// to the transport: binary toward capable receivers, the body's JSON
-// encoding toward everyone else. The body must not be mutated until
-// Send returns.
+// NewBinaryMessage builds a message whose binary payload encoding is
+// deferred to the transport. The body must not be mutated until Send
+// returns.
 func NewBinaryMessage(to, typ, session string, body BinaryBody) Message {
 	return Message{To: to, Type: typ, Session: session, body: body}
 }
@@ -72,9 +64,9 @@ func appendBinaryPayload(dst []byte, body BinaryBody) []byte {
 	return body.AppendBinary(dst)
 }
 
-// EncodePayload materializes a deferred body into Payload as a binary
-// payload (used by in-process transports, where the receiver is by
-// construction this build). No-op when no body is pending.
+// EncodePayload materializes a deferred body into Payload — used by the
+// in-process transport and by callers that spool a message's bytes for
+// later replay. No-op when no body is pending.
 func (m *Message) EncodePayload() {
 	if m.body == nil {
 		return
@@ -84,46 +76,22 @@ func (m *Message) EncodePayload() {
 	m.body = nil
 }
 
-// EncodePayloadJSON materializes a deferred body into Payload as JSON —
-// the fallback toward receivers that predate the payload codec, and the
-// encoding any Message-level JSON marshal (legacy frames, spooling)
-// must see. No-op when no body is pending.
-func (m *Message) EncodePayloadJSON() error {
-	if m.body == nil {
-		return nil
-	}
-	p, err := json.Marshal(m.body)
-	if err != nil {
-		return fmt.Errorf("transport: encoding payload: %w", err)
-	}
-	m.Payload = p
-	m.body = nil
-	return nil
-}
-
-// pendingBody reports whether the message still carries an un-encoded
-// body (and its encoded size, for frame sizing).
-func (m *Message) pendingBody() (BinaryBody, bool) {
-	return m.body, m.body != nil
-}
-
-// IsBinaryPayload reports whether a payload uses the binary payload
-// codec (as opposed to JSON).
+// IsBinaryPayload reports whether a payload carries the binary payload
+// codec header.
 func IsBinaryPayload(payload []byte) bool {
 	return len(payload) >= payloadHdrLen && payload[0] == payloadMagic
 }
 
-// Unmarshal decodes a message payload into a protocol body, sniffing
-// the payload codec: binary payloads require v to implement BinaryBody;
-// JSON payloads decode as before.
+// Unmarshal decodes a message payload into a protocol body. A
+// BinaryBody target accepts only a binary payload; any other target
+// decodes JSON.
 func Unmarshal(payload []byte, v any) error {
-	if IsBinaryPayload(payload) {
+	if bb, ok := v.(BinaryBody); ok {
+		if !IsBinaryPayload(payload) {
+			return fmt.Errorf("transport: %T payload is not binary", v)
+		}
 		if payload[1] != payloadVersion {
 			return fmt.Errorf("transport: unsupported binary payload version %d", payload[1])
-		}
-		bb, ok := v.(BinaryBody)
-		if !ok {
-			return fmt.Errorf("transport: binary payload for %T, which has no binary decoding", v)
 		}
 		if err := bb.DecodeBinary(payload[payloadHdrLen:]); err != nil {
 			return fmt.Errorf("transport: decoding binary payload: %w", err)
@@ -134,10 +102,4 @@ func Unmarshal(payload []byte, v any) error {
 		return fmt.Errorf("transport: decoding payload: %w", err)
 	}
 	return nil
-}
-
-// SendBody encodes body for the receiver and sends it on ep: a
-// convenience wrapper protocols use for their per-message sends.
-func SendBody(ctx context.Context, ep Endpoint, to, typ, session string, body BinaryBody) error {
-	return ep.Send(ctx, NewBinaryMessage(to, typ, session, body))
 }

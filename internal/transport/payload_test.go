@@ -11,8 +11,7 @@ import (
 )
 
 // testBody is a minimal BinaryBody mirroring the relay-body shape: a
-// string field plus a packed byte run, with JSON tags for the fallback
-// encoding.
+// string field plus a packed byte run.
 type testBody struct {
 	Origin string `json:"origin"`
 	Packed []byte `json:"packed,omitempty"`
@@ -66,29 +65,29 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryPayloadJSONFallback(t *testing.T) {
+// TestBinaryBodyRejectsJSONPayload pins that a body's encoding is fixed
+// by its type: a JSON payload for a BinaryBody target is an error, never
+// a fallback decode, and NewMessage encodes a BinaryBody as binary.
+func TestBinaryBodyRejectsJSONPayload(t *testing.T) {
 	in := &testBody{Origin: "N1", Packed: []byte{9, 8}}
-	msg := NewBinaryMessage("B", "t", "s", in)
-	if err := msg.EncodePayloadJSON(); err != nil {
-		t.Fatal(err)
-	}
-	if IsBinaryPayload(msg.Payload) {
-		t.Fatal("JSON fallback produced a binary payload")
-	}
-	// Byte-identical to what a pre-payload-codec sender marshals.
 	legacy, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(msg.Payload, legacy) {
-		t.Fatalf("fallback %s != legacy %s", msg.Payload, legacy)
-	}
 	var out testBody
-	if err := Unmarshal(msg.Payload, &out); err != nil {
+	if err := Unmarshal(legacy, &out); err == nil {
+		t.Fatalf("JSON payload decoded into a binary body: %+v", out)
+	}
+	msg, err := NewMessage("B", "t", "s", in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Origin != in.Origin || !bytes.Equal(out.Packed, in.Packed) {
-		t.Fatalf("round trip mismatch: %+v", out)
+	msg.EncodePayload()
+	if !IsBinaryPayload(msg.Payload) {
+		t.Fatalf("NewMessage of a binary body produced % x", msg.Payload)
+	}
+	if err := Unmarshal(msg.Payload, &out); err != nil || out.Origin != "N1" || !bytes.Equal(out.Packed, in.Packed) {
+		t.Fatalf("round trip %+v, %v", out, err)
 	}
 }
 
@@ -130,7 +129,7 @@ func TestMemNetNoAliasingAfterSend(t *testing.T) {
 	}
 	packed := []byte{10, 20, 30, 40}
 	body := &testBody{Origin: "A", Packed: packed}
-	if err := SendBody(ctx, epA, "B", "t", "s", body); err != nil {
+	if err := epA.Send(ctx, NewBinaryMessage("B", "t", "s", body)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range packed {
@@ -149,89 +148,48 @@ func TestMemNetNoAliasingAfterSend(t *testing.T) {
 	}
 }
 
-// TestTCPMixedClusterPayloads drives one bin3 sender against three
-// receiver generations — current (bin3), pre-payload-codec (bin2), and
-// JSON-only — and checks each decodes what it was sent: binary payloads
-// toward bin3, JSON payloads (inside the frames its level allows)
-// toward everyone older. It also pins the no-aliasing contract on the
-// TCP path.
-func TestTCPMixedClusterPayloads(t *testing.T) {
+// TestTCPNoAliasingAfterSend pins the zero-copy contract on the TCP
+// path: a deferred body is encoded straight into the frame buffer, so
+// once Send returns the sender may reuse the body's buffers without any
+// receiver observing the mutation.
+func TestTCPNoAliasingAfterSend(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	mk := func(id, cap string, peers map[string]string) (*TCPNetwork, Endpoint) {
-		t.Helper()
-		book := map[string]string{id: "127.0.0.1:0"}
-		for p, a := range peers {
-			book[p] = a
-		}
-		n := NewTCPNetwork(book)
-		n.SetCodecCap(cap)
+	book := map[string]string{"A": "127.0.0.1:0", "B": "127.0.0.1:0", "C": "127.0.0.1:0"}
+	n := NewTCPNetwork(book)
+	eps := make(map[string]Endpoint, len(book))
+	for id := range book {
 		ep, err := n.Endpoint(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n, ep
-	}
-
-	netA, epA := mk("A", CodecBinaryV3, nil)
-	defer epA.Close()
-	netC, epC := mk("C", CodecBinaryV3, map[string]string{"A": netA.addrs["A"]})
-	defer epC.Close()
-	netL2, epL2 := mk("L2", CodecBinaryV2, map[string]string{"A": netA.addrs["A"]})
-	defer epL2.Close()
-	netLJ, epLJ := mk("LJ", "", map[string]string{"A": netA.addrs["A"]})
-	defer epLJ.Close()
-	netA.Register("C", netC.addrs["C"])
-	netA.Register("L2", netL2.addrs["L2"])
-	netA.Register("LJ", netLJ.addrs["LJ"])
-
-	// Each peer introduces itself so A learns its codec level.
-	for _, ep := range []Endpoint{epC, epL2, epLJ} {
-		if err := ep.Send(ctx, Message{To: "A", Type: "hello", Session: "s", Payload: []byte(`{}`)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := epA.Recv(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := epA.(*tcpEndpoint)
-	if a.peerLevel("C") != codecBin3 || a.peerLevel("L2") != codecBin2 || a.peerLevel("LJ") != codecJSON {
-		t.Fatalf("negotiation: C=%d L2=%d LJ=%d", a.peerLevel("C"), a.peerLevel("L2"), a.peerLevel("LJ"))
+		defer ep.Close()
+		eps[id] = ep
 	}
 
 	packed := []byte{1, 2, 3, 4, 5, 6}
 	want := append([]byte(nil), packed...)
 	body := &testBody{Origin: "A", Packed: packed}
-	for _, to := range []string{"C", "L2", "LJ"} {
-		if err := SendBody(ctx, epA, to, "t", "s", body); err != nil {
+	for _, to := range []string{"B", "C"} {
+		if err := eps["A"].Send(ctx, NewBinaryMessage(to, "t", "s", body)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Sender reuses the packed buffer as soon as the sends return; no
-	// receiver may observe the mutation.
 	for i := range packed {
 		packed[i] = 0xEE
 	}
-
-	check := func(ep Endpoint, wantBinary bool) {
-		t.Helper()
-		got, err := ep.Recv(ctx)
+	for _, id := range []string{"B", "C"} {
+		got, err := eps[id].Recv(ctx)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if IsBinaryPayload(got.Payload) != wantBinary {
-			t.Fatalf("payload codec toward %s: binary=%v, want %v", ep.ID(), !wantBinary, wantBinary)
 		}
 		var out testBody
 		if err := Unmarshal(got.Payload, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Origin != "A" || !bytes.Equal(out.Packed, want) {
-			t.Fatalf("receiver %s saw %+v", ep.ID(), out)
+			t.Fatalf("receiver %s saw %+v", id, out)
 		}
 	}
-	check(epC, true)   // current peer: binary payload
-	check(epL2, false) // pre-payload-codec build: JSON payload
-	check(epLJ, false) // JSON-only build: JSON payload in a JSON frame
 }

@@ -44,9 +44,9 @@ func TestTCPRejectsOversizedFrame(t *testing.T) {
 	}
 }
 
-// TestTCPDropsGarbageFrame sends a well-sized frame with non-JSON
-// content; the read loop must drop the connection and keep serving
-// others.
+// TestTCPDropsGarbageFrame sends a well-sized frame whose body is not
+// a binary envelope; the read loop must drop the connection and keep
+// serving others.
 func TestTCPDropsGarbageFrame(t *testing.T) {
 	tn := NewTCPNetwork(map[string]string{"A": "127.0.0.1:0", "B": "127.0.0.1:0"})
 	a, err := tn.Endpoint("A")
@@ -66,7 +66,7 @@ func TestTCPDropsGarbageFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close() //nolint:errcheck
-	garbage := []byte("this is not json")
+	garbage := []byte(`{"from":"M","to":"A","type":"not a binary envelope"}`)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(garbage)))
 	if _, err := conn.Write(append(hdr[:], garbage...)); err != nil {
@@ -87,20 +87,26 @@ func TestTCPDropsGarbageFrame(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTripUnit exercises the codec directly.
+// TestFrameRoundTripUnit exercises the codec directly: a deferred
+// binary body is encoded into the frame and decodes on the far side.
 func TestFrameRoundTripUnit(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
-	msg := Message{From: "A", To: "B", Type: "t", Session: "s", Payload: []byte(`{"x":1}`)}
-	if err := writeFrame(bw, msg); err != nil {
+	msg := NewBinaryMessage("B", "t", "s", &testBody{Origin: "A", Packed: []byte{7, 8}})
+	msg.From = "A"
+	if err := writeFrame(bw, &msg); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(bufio.NewReader(&buf), binVersion2)
+	got, err := readFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.From != "A" || got.To != "B" || string(got.Payload) != `{"x":1}` {
-		t.Fatalf("round trip %+v", got)
+	var out testBody
+	if err := Unmarshal(got.Payload, &out); err != nil {
+		t.Fatal(err)
+	}
+	if got.From != "A" || got.To != "B" || out.Origin != "A" || !bytes.Equal(out.Packed, []byte{7, 8}) {
+		t.Fatalf("round trip %+v carrying %+v", got, out)
 	}
 }
 
@@ -108,7 +114,7 @@ func TestFrameTooLargeOnWrite(t *testing.T) {
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	msg := Message{To: "B", Payload: make([]byte, maxFrame+1)}
-	if err := writeFrame(bw, msg); err == nil {
+	if err := writeFrame(bw, &msg); err == nil {
 		t.Fatal("oversized frame written")
 	}
 }

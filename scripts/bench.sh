@@ -1,5 +1,6 @@
 #!/bin/sh
-# bench.sh — run the PR's acceptance benchmarks and emit BENCH_PR10.json.
+# bench.sh — run the acceptance benchmarks and emit BENCH_<head>.json,
+# named after the short hash of the commit the working tree sits on.
 #
 # Usage: scripts/bench.sh [benchtime] [profile-dir]
 #   benchtime defaults to 3s; pass e.g. 1x for a smoke run.
@@ -7,12 +8,13 @@
 #   headline benchmark (go test -cpuprofile) into that directory, so a
 #   regression flagged by benchdiff can be attributed to a function
 #   without re-running anything.
-#   BASE_REF (env) overrides the baseline commit; defaults to the
-#   previous PR's tip.
+#   BASE_REF (env) overrides the baseline commit; defaults to HEAD's
+#   parent, so the working tree is measured against the commit it
+#   builds on.
 #
 # The JSON records ns/op, B/op and allocs/op for every benchmark in the
 # hot-path set, next to a baseline the script itself re-measures from
-# the PREVIOUS PR's tree: it checks BASE_REF out into a throwaway git
+# the BASE_REF tree: it checks BASE_REF out into a throwaway git
 # worktree and runs the identical sweep there, back to back with the
 # after sweep on the same box (Intel Xeon @ 2.10 GHz, 1 vCPU, Go 1.24).
 # The improvement ratio is therefore auditable from the artifact alone
@@ -58,9 +60,9 @@ cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-2s}"
 PROFILE_DIR="${2:-}"
-BASE_REF="${BASE_REF:-342e763}"
+BASE_REF="${BASE_REF:-$(git rev-parse --short HEAD^)}"
 BENCHCOUNT="${BENCHCOUNT:-3}"
-OUT="BENCH_PR10.json"
+OUT="BENCH_$(git rev-parse --short HEAD).json"
 BENCHES='BenchmarkFigure2DLAQuery|BenchmarkClusterLogThroughput|BenchmarkAppenderThroughput|BenchmarkQueryShapes|BenchmarkTelemetryOverhead|BenchmarkWitnessMaintain'
 
 # parse_rows turns `go test -bench -count=N` output into JSON row
@@ -104,7 +106,7 @@ parse_rows() {
     }'
 }
 
-# Baseline sweep: the previous PR's tree, in a throwaway worktree,
+# Baseline sweep: the BASE_REF tree, in a throwaway worktree,
 # immediately before the after sweep so both see the same box speed.
 BASE_DIR="$(mktemp -d)/base"
 git worktree add --detach "$BASE_DIR" "$BASE_REF" >&2
