@@ -102,7 +102,8 @@ func (k *PHKey) DecryptInt(c *big.Int) (*big.Int, error) {
 // windows covering the exponent's declared width so the multiplication
 // count reveals nothing about the key beyond that width. Groups whose
 // width has no assembly kernel take big.Int.Exp; both paths are
-// counted. Results are bit-identical either way.
+// counted (the batch calls' IFMA path counts on its own, in
+// expBlocks). Results are bit-identical either way.
 func phExp(g *mathx.Group, m, e *big.Int, width int) *big.Int {
 	if mg := g.Montgomery(); mg != nil && mg.Kernel() {
 		telemetry.M.Counter(telemetry.CtrModexpKernel).Add(1)
@@ -223,18 +224,63 @@ const parallelThreshold = 4
 var pool = workpool.Shared
 
 // EncryptBlocks encrypts every block under the key, preserving order.
-// Batches above parallelThreshold are fanned out over the shared
-// GOMAXPROCS-sized worker pool; the output is byte-identical to a
-// serial Encrypt loop for any worker count (pinned by the equivalence
-// tests).
+// On the IFMA path eight blocks share each kernel call and the 8-block
+// groups fan out over the shared GOMAXPROCS-sized worker pool; without
+// it, batches above parallelThreshold fan out block by block. The
+// output is byte-identical to a serial Encrypt loop for any worker
+// count (pinned by the equivalence tests).
 func (k *PHKey) EncryptBlocks(blocks [][]byte) ([][]byte, error) {
-	return mapBlocks(blocks, k.Encrypt, "encrypting")
+	return k.expBlocks(blocks, k.e, k.eBits, k.Encrypt, "encrypting")
 }
 
 // DecryptBlocks decrypts every block under the key, preserving order;
 // the batch counterpart of Decrypt.
 func (k *PHKey) DecryptBlocks(blocks [][]byte) ([][]byte, error) {
-	return mapBlocks(blocks, k.Decrypt, "decrypting")
+	return k.expBlocks(blocks, k.d, k.group.P.BitLen(), k.Decrypt, "decrypting")
+}
+
+// expBlocks raises every block to e with windows over width bits. Where
+// the group's Montgomery context batches (BatchLanes > 1: the IFMA
+// kernel), groups of that many blocks are one ExpBatch call each, and
+// the groups fan out over the worker pool; elsewhere each block is one
+// op call, exactly as mapBlocks runs any cipher. A bad block fails with
+// its own index either way.
+func (k *PHKey) expBlocks(blocks [][]byte, e *big.Int, width int, op func([]byte) ([]byte, error), verb string) ([][]byte, error) {
+	mg := k.group.Montgomery()
+	lanes := 1
+	if mg != nil {
+		lanes = mg.BatchLanes()
+	}
+	if lanes == 1 {
+		return mapBlocks(blocks, op, verb)
+	}
+	out := make([][]byte, len(blocks))
+	run := func(g int) error {
+		lo, hi := g*lanes, min((g+1)*lanes, len(blocks))
+		ms := make([]*big.Int, hi-lo)
+		for i := lo; i < hi; i++ {
+			m, err := k.parseBlock(blocks[i])
+			if err != nil {
+				return fmt.Errorf("commutative: %s block %d: %w", verb, i, err)
+			}
+			ms[i-lo] = m
+		}
+		for i, c := range mg.ExpBatch(ms, e, width) {
+			out[lo+i] = k.marshalBlock(c)
+		}
+		telemetry.M.Counter(telemetry.CtrModexpIFMA).Add(int64(hi - lo))
+		return nil
+	}
+	var err error
+	if groups := (len(blocks) + lanes - 1) / lanes; groups == 1 {
+		err = run(0)
+	} else {
+		err = pool.Map(groups, run)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // EncryptAll encrypts every block, preserving order. All protocols that

@@ -24,6 +24,8 @@ import (
 // otherwise; other widths, and purego or non-amd64 builds, run the
 // portable Go row. Exp uses the assembly kernels only: without one it
 // delegates to big.Int.Exp, whose own assembly beats the portable row.
+// ExpBatch (montgomery_ifma.go) exponentiates eight bases per kernel
+// call on CPUs with AVX-512 IFMA, for the 768- and 1024-bit widths.
 //
 // Results are bit-identical to math/big: the final conditional
 // subtraction returns the canonical least non-negative residue, exactly
@@ -52,6 +54,9 @@ type Montgomery struct {
 	// kernel is set when the width has a fixed-width assembly row
 	// kernel; Exp delegates to big.Int.Exp otherwise.
 	kernel bool
+	// ifma is the radix-2^52 state of the 8-lane batch kernel, set
+	// when the width has one; ExpBatch uses it when the CPU does.
+	ifma *ifmaCtx
 
 	scratch sync.Pool // *montScratch
 }
@@ -108,6 +113,9 @@ func NewMontgomery(mod *big.Int) (*Montgomery, error) {
 	m.rr = natFromBig(new(big.Int).Mod(new(big.Int).Mul(r, r), mod), k)
 	m.one = natFromBig(new(big.Int).Mod(r, mod), k)
 	m.scratch.New = func() any { return m.newScratch() }
+	if haveKernels {
+		m.ifma = newIFMA(m)
+	}
 	return m, nil
 }
 
@@ -318,28 +326,6 @@ func (m *Montgomery) ExpWidth(base, e *big.Int, width int) *big.Int {
 	sc := m.getScratch()
 	m.exp(sc, base, e, width)
 	out := natToBig(sc.b)
-	m.putScratch(sc)
-	return out
-}
-
-// ExpBlocks computes base^e mod n for every base, sharing one scratch
-// across the batch.
-func (m *Montgomery) ExpBlocks(bases []*big.Int, e *big.Int) []*big.Int {
-	out := make([]*big.Int, len(bases))
-	if len(bases) == 0 {
-		return out
-	}
-	if !m.kernel || e.Sign() < 0 {
-		for i, base := range bases {
-			out[i] = new(big.Int).Exp(base, e, m.mod)
-		}
-		return out
-	}
-	sc := m.getScratch()
-	for i, base := range bases {
-		m.exp(sc, base, e, 0)
-		out[i] = natToBig(sc.b)
-	}
 	m.putScratch(sc)
 	return out
 }

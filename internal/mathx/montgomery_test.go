@@ -86,33 +86,6 @@ func TestMontgomeryExpMatchesBig(t *testing.T) {
 	}
 }
 
-func TestMontgomeryExpBlocksMatchesBig(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := Oakley768
-	mg, err := NewMontgomery(g.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 144))
-	var bases []*big.Int
-	for i := 0; i < 17; i++ {
-		b := new(big.Int).Rand(rng, g.P)
-		bases = append(bases, b)
-	}
-	got := mg.ExpBlocks(bases, e)
-	if len(got) != len(bases) {
-		t.Fatalf("len %d want %d", len(got), len(bases))
-	}
-	for i, b := range bases {
-		if want := expRef(b, e, g.P); got[i].Cmp(want) != 0 {
-			t.Fatalf("block %d mismatch", i)
-		}
-	}
-	if out := mg.ExpBlocks(nil, e); len(out) != 0 {
-		t.Fatalf("empty batch: got %d results", len(out))
-	}
-}
-
 // kernelGroups are the embedded groups, one per kernel width (12, 16,
 // 24 and 32 limbs), each with the short-exponent width its session
 // keys declare.
@@ -263,6 +236,169 @@ func TestMontgomeryConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// batchGroups are the kernel groups with an 8-lane IFMA kernel.
+var batchGroups = kernelGroups[:2]
+
+// batchBases returns n bases cycling through 1, 2, p−1 and random
+// residues.
+func batchBases(rng *rand.Rand, p *big.Int, n int) []*big.Int {
+	bases := make([]*big.Int, n)
+	for i := range bases {
+		switch i % 4 {
+		case 0:
+			bases[i] = big.NewInt(1)
+		case 1:
+			bases[i] = big.NewInt(2)
+		case 2:
+			bases[i] = new(big.Int).Sub(p, big.NewInt(1))
+		default:
+			bases[i] = new(big.Int).Rand(rng, p)
+		}
+	}
+	return bases
+}
+
+// TestMontgomeryExpBatchMatchesBig is the differential test of
+// ExpBatch against big.Int.Exp at the two IFMA widths: batch sizes 1
+// through 17 (every partial group, one and two full ones) and 64, the
+// exponents 0, 1, a value of exactly the declared short width, a
+// full-width value and p−2, each under the declared short and full
+// widths. Hosts without IFMA run the same cases through ExpWidth.
+func TestMontgomeryExpBatchMatchesBig(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	sizes := []int{64}
+	for n := 1; n <= 17; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, kg := range batchGroups {
+		p := kg.g.P
+		mg := kg.g.Montgomery()
+		short := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(kg.shortExp)))
+		short.SetBit(short, kg.shortExp-1, 1)
+		full := new(big.Int).Rand(rng, p)
+		full.SetBit(full, p.BitLen()-1, 1)
+		bases := batchBases(rng, p, 64)
+		for _, e := range []*big.Int{big.NewInt(0), big.NewInt(1), short, full, new(big.Int).Sub(p, big.NewInt(2))} {
+			want := make([]*big.Int, len(bases))
+			for i, b := range bases {
+				want[i] = expRef(b, e, p)
+			}
+			for _, width := range []int{kg.shortExp, p.BitLen()} {
+				for _, n := range sizes {
+					got := mg.ExpBatch(bases[:n], e, width)
+					if len(got) != n {
+						t.Fatalf("%d-bit group: %d results for %d bases", p.BitLen(), len(got), n)
+					}
+					for i := range got {
+						if got[i].Cmp(want[i]) != 0 {
+							t.Fatalf("%d-bit group, batch %d, width %d, e %d bits: base %d: got %v want %v",
+								p.BitLen(), n, width, e.BitLen(), i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		if out := mg.ExpBatch(nil, short, kg.shortExp); len(out) != 0 {
+			t.Fatalf("%d-bit group: empty batch gave %d results", p.BitLen(), len(out))
+		}
+	}
+}
+
+// TestMontgomeryExpBatchLanesIndependent places one base in every lane
+// of an 8-base group in turn, beside neighbours that change from run
+// to run (random residues, all p−1, all 1, unreduced values); its
+// result must never change.
+func TestMontgomeryExpBatchLanesIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, kg := range batchGroups {
+		p := kg.g.P
+		mg := kg.g.Montgomery()
+		e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(kg.shortExp)))
+		base := new(big.Int).Rand(rng, p)
+		want := expRef(base, e, p)
+		neighbours := []func() *big.Int{
+			func() *big.Int { return new(big.Int).Rand(rng, p) },
+			func() *big.Int { return new(big.Int).Sub(p, big.NewInt(1)) },
+			func() *big.Int { return big.NewInt(1) },
+			func() *big.Int { return new(big.Int).Add(p, new(big.Int).Rand(rng, p)) },
+		}
+		for lane := 0; lane < 8; lane++ {
+			for _, nb := range neighbours {
+				bases := make([]*big.Int, 8)
+				for i := range bases {
+					bases[i] = nb()
+				}
+				bases[lane] = base
+				got := mg.ExpBatch(bases, e, kg.shortExp)
+				if got[lane].Cmp(want) != 0 {
+					t.Fatalf("%d-bit group, lane %d: result depends on the neighbours", p.BitLen(), lane)
+				}
+				for i, b := range bases {
+					if got[i].Cmp(expRef(b, e, p)) != 0 {
+						t.Fatalf("%d-bit group, lane %d: neighbour %d wrong", p.BitLen(), lane, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMontgomeryExpBatchConcurrent runs batches on the shared group
+// contexts from several goroutines; under -race it pins the pooled
+// batch scratch.
+func TestMontgomeryExpBatchConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 3; i++ {
+				kg := batchGroups[(int(seed)+i)%len(batchGroups)]
+				p := kg.g.P
+				bases := batchBases(rng, p, 11)
+				e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(kg.shortExp)))
+				for j, got := range kg.g.Montgomery().ExpBatch(bases, e, kg.shortExp) {
+					if got.Cmp(expRef(bases[j], e, p)) != 0 {
+						t.Errorf("concurrent batch mismatch (seed %d, %d bits, base %d)", seed, p.BitLen(), j)
+						return
+					}
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// TestBatchCanonical pins the final subtraction after leaving the
+// domain. The almost-Montgomery bound gives at most n there, and n
+// only for a multiple of n, which the exponentiation never forms from
+// a zero base; so the batches above cannot reach the x = n case, and
+// it is checked here directly, beside the radix-2^52 conversions.
+func TestBatchCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, kg := range batchGroups {
+		p := kg.g.P
+		mg, err := NewMontgomery(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(p, big.NewInt(1)), p, new(big.Int).Rand(rng, p)} {
+			want := new(big.Int).Mod(x, p)
+			if got := natToBig(mg.canonical(natFromBig(x, mg.k))); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit group: canonical(%v) = %v, want %v", p.BitLen(), x, got, want)
+			}
+			l := (p.BitLen() + 2 + 51) / 52
+			spread, back := make([]uint64, 8*l), make([]uint64, mg.k)
+			spread52(spread, 8, 5, natFromBig(x, mg.k))
+			gather52(back, spread, 5)
+			if got := natToBig(back); got.Cmp(x) != 0 {
+				t.Fatalf("%d-bit group: radix-2^52 round trip of %v gave %v", p.BitLen(), x, got)
+			}
+		}
+	}
+}
+
 // fuzzWidths are the modulus widths FuzzMontgomeryVsBig draws from:
 // the four kernel widths (12, 16, 24 and 32 limbs) first, then three
 // in between that run the portable row and the big.Int.Exp fallback.
@@ -315,6 +451,16 @@ func FuzzMontgomeryVsBig(f *testing.F) {
 				t.Fatalf("mod %d bits, e %d bits, width %d: got %v want %v",
 					mod.BitLen(), exp.BitLen(), width, got, want)
 			}
+			// The batch path: the fuzzed base in a group beside the
+			// edge bases, so the 768- and 1024-bit draws run a
+			// partial IFMA group.
+			bases := []*big.Int{big.NewInt(1), base, order, big.NewInt(2)}
+			for i, got := range mg.ExpBatch(bases, exp, width) {
+				if want := expRef(bases[i], exp, mod); got.Cmp(want) != 0 {
+					t.Fatalf("batch mod %d bits, e %d bits, width %d, base %d: got %v want %v",
+						mod.BitLen(), exp.BitLen(), width, i, got, want)
+				}
+			}
 		}
 		// The fixed-base table over the same modulus must agree too.
 		fb := NewFixedBase(base, mod, 256)
@@ -338,6 +484,28 @@ func BenchmarkMontgomeryExp768(b *testing.B) {
 		mg.Exp(base, e)
 	}
 }
+
+// benchExpBatch times ExpBatch the way the Pohlig-Hellman batch calls
+// run it: 64 bases under one session exponent at its declared width.
+// It reports ns per element.
+func benchExpBatch(b *testing.B, g *Group, width int) {
+	rng := rand.New(rand.NewSource(1))
+	mg := g.Montgomery()
+	bases := make([]*big.Int, 64)
+	for i := range bases {
+		bases[i] = new(big.Int).Rand(rng, g.P)
+	}
+	e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(width)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mg.ExpBatch(bases, e, width)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bases)), "ns/elem")
+}
+
+func BenchmarkExpBatch768(b *testing.B)  { benchExpBatch(b, Oakley768, 144) }
+func BenchmarkExpBatch1024(b *testing.B) { benchExpBatch(b, Oakley1024, 160) }
 
 func BenchmarkBigExp768(b *testing.B) {
 	g := Oakley768

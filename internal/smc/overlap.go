@@ -55,7 +55,7 @@ func encryptStream(ctx context.Context, session, self string, key BlockEncryptor
 		for seq, chunk := range chunks {
 			sp, _ := telemetry.StartSpan(ctx, session, self, "smc.relay_chunk")
 			start := time.Now()
-			enc, err := key.EncryptBlocks(chunk)
+			enc, err := RelayCrypt(key.EncryptBlocks, chunk)
 			ec := encChunk{Seq: seq, Blocks: enc, Err: err, Start: start, Span: sp}
 			select {
 			case ch <- ec:

@@ -88,7 +88,7 @@ func Circulate(ctx context.Context, mb *transport.Mailbox, key BlockEncryptor, r
 		} else {
 			sp, _ := telemetry.StartSpan(ctx, session, self, "smc.relay_chunk")
 			start := time.Now()
-			enc, err := key.EncryptBlocks(chunk)
+			enc, err := RelayCrypt(key.EncryptBlocks, chunk)
 			if err != nil {
 				sp.End(err)
 				return nil, fmt.Errorf("smc: re-encrypting set from %s: %w", body.Origin, err)

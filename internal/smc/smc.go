@@ -123,6 +123,17 @@ func Contains(nodes []string, node string) bool {
 	return false
 }
 
+// RelayCrypt runs one relay chunk's batch encryption or decryption and
+// records how long that call alone took on smc.relay_crypt, apart from
+// smc.relay_chunk's encrypt-plus-send time. A duration only, as
+// Definition 1 permits.
+func RelayCrypt(op func([][]byte) ([][]byte, error), blocks [][]byte) ([][]byte, error) {
+	start := time.Now()
+	out, err := op(blocks)
+	telemetry.M.Histogram(telemetry.HistRelayCrypt).Observe(time.Since(start))
+	return out, err
+}
+
 // observeRelayChunk finishes one ring-relay chunk span with the framing
 // and size facts Definition 1 permits (peer, Seq/Total, byte count) and
 // feeds the shared relay metrics. start is when the hop began work on

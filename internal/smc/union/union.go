@@ -214,7 +214,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		sort.Slice(merged, func(i, j int) bool { return bytes.Compare(merged[i], merged[j]) < 0 })
 		// Start the decryption circulation with the collector's own layer
 		// stripped.
-		dec, err := key.DecryptBlocks(merged)
+		dec, err := smc.RelayCrypt(key.DecryptBlocks, merged)
 		if err != nil {
 			return nil, fmt.Errorf("union: stripping collector layer: %w", err)
 		}
@@ -244,7 +244,7 @@ func Run(ctx context.Context, mb *transport.Mailbox, cfg Config, localSet [][]by
 		if err != nil {
 			return nil, err
 		}
-		dec, err := key.DecryptBlocks(bs)
+		dec, err := smc.RelayCrypt(key.DecryptBlocks, bs)
 		if err != nil {
 			return nil, fmt.Errorf("union: stripping layer: %w", err)
 		}

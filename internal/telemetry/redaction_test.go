@@ -92,10 +92,12 @@ func TestRedactionFullQuery(t *testing.T) {
 	// encryption stream, which is timing dependent; pin its name to the
 	// surface regardless.
 	telemetry.M.Counter(telemetry.CtrOverlapStalls).Add(0)
-	// Only one of the two modexp counters moves on a given build (the
-	// kernel on amd64, the big.Int.Exp fallback under purego); pin both.
+	// Which modexp counters move depends on the build and the CPU (the
+	// IFMA batch kernel and the row kernel on amd64, the big.Int.Exp
+	// fallback under purego); pin all three.
 	telemetry.M.Counter(telemetry.CtrModexpKernel).Add(0)
 	telemetry.M.Counter(telemetry.CtrModexpFallback).Add(0)
+	telemetry.M.Counter(telemetry.CtrModexpIFMA).Add(0)
 	// Same for the storage-engine counters: this deployment is
 	// in-memory, so put their names on the surface explicitly and let
 	// the sweep below prove the names themselves leak nothing.
@@ -228,13 +230,22 @@ func TestRedactionFullQuery(t *testing.T) {
 	}
 	// The crypto hot path must have recorded its work: modexps behind
 	// the ring relay, and witness installs behind the batch write.
-	for _, ctr := range []string{telemetry.CtrModexpKernel, telemetry.CtrModexpFallback} {
+	for _, ctr := range []string{telemetry.CtrModexpKernel, telemetry.CtrModexpFallback, telemetry.CtrModexpIFMA} {
 		if _, ok := snap.Counters[ctr]; !ok {
 			t.Errorf("modexp counter %s missing from the snapshot", ctr)
 		}
 	}
-	if snap.Counters[telemetry.CtrModexpKernel]+snap.Counters[telemetry.CtrModexpFallback] == 0 {
-		t.Error("modexp_kernel and modexp_fallback recorded nothing for a ring-relay query")
+	if telemetry.CtrModexpIFMA != "crypto.modexp_ifma" {
+		t.Errorf("IFMA modexp counter renamed to %q", telemetry.CtrModexpIFMA)
+	}
+	if snap.Counters[telemetry.CtrModexpKernel]+snap.Counters[telemetry.CtrModexpFallback]+
+		snap.Counters[telemetry.CtrModexpIFMA] == 0 {
+		t.Error("modexp_kernel, modexp_ifma and modexp_fallback recorded nothing for a ring-relay query")
+	}
+	// The relay's batch crypto calls are timed on their own, apart
+	// from the encrypt-plus-send chunk histogram.
+	if hs, ok := snap.Histograms[telemetry.HistRelayCrypt]; !ok || hs.Count < 1 {
+		t.Errorf("%s recorded nothing for a ring-relay query", telemetry.HistRelayCrypt)
 	}
 	if snap.Counters[telemetry.CtrWitnessUpdates] == 0 {
 		t.Error("witness_updates recorded nothing for a batch write")
@@ -312,6 +323,13 @@ func TestRedactionFullQuery(t *testing.T) {
 		}
 		if path == "/debug/dla/flight" && !strings.Contains(string(body), telemetry.FlightGrantSync) {
 			t.Errorf("%s is missing the %s event", path, telemetry.FlightGrantSync)
+		}
+		if path == "/debug/dla/prom" {
+			for _, name := range []string{telemetry.CtrModexpIFMA, telemetry.HistRelayCrypt} {
+				if !strings.Contains(string(body), telemetry.PromName(name)) {
+					t.Errorf("%s does not export %s", path, name)
+				}
+			}
 		}
 		surface = append(surface, string(body))
 	}

@@ -279,6 +279,7 @@ var microHists = map[string]bool{
 	HistIngestStoreRTT:  true,
 	HistIngestDecode:    true,
 	HistIngestAckTurn:   true,
+	HistRelayCrypt:      true,
 }
 
 // boundsFor picks the bucket bounds for a histogram name at creation.
@@ -410,6 +411,7 @@ const (
 	HistAuditDispatch = "audit.dispatch"   // coordinator: plan fan-out
 	HistAuditExec     = "audit.exec"       // executor: all local roles
 	HistRelayChunk    = "smc.relay_chunk"  // one ring-relay chunk re-encrypt+forward
+	HistRelayCrypt    = "smc.relay_crypt"  // the batch encrypt/decrypt call alone, per relay chunk
 	HistIntersectRun  = "smc.intersect.run"
 	HistUnionRun      = "smc.union.run"
 	CtrSubqueries     = "audit.subqueries"
@@ -525,15 +527,19 @@ const (
 
 	// Commutative-cipher modexp and overlapped relay. modexp_kernel
 	// counts Pohlig-Hellman exponentiations run on the fixed-width
-	// Montgomery kernel, modexp_fallback those delegated to
+	// Montgomery row kernel, modexp_ifma those run as lanes of the
+	// 8-lane AVX-512 IFMA batch kernel (real blocks only, not the
+	// padding of a short group), modexp_fallback those delegated to
 	// big.Int.Exp (a group width without a kernel, or a purego or
-	// non-amd64 build); overlap_stalls counts relay sends that had to
+	// non-amd64 build); each exponentiation lands on exactly one of
+	// the three. overlap_stalls counts relay sends that had to
 	// wait on the crypto producer (crypto time not hidden by network
 	// time); witness_updates counts witness-exponent installs on the
 	// fragment write path. All are counts only — Definition 1
 	// secondary information.
 	CtrModexpKernel   = "crypto.modexp_kernel"
 	CtrModexpFallback = "crypto.modexp_fallback"
+	CtrModexpIFMA     = "crypto.modexp_ifma"
 	CtrOverlapStalls  = "smc.overlap_stalls"
 	CtrWitnessUpdates = "integrity.witness_updates"
 )
